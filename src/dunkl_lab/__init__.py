@@ -50,20 +50,18 @@ from .domains import DomainSpec, DistanceData, distance_data, equivariance_check
 from .profiles import PiecewiseProfile, hardy_p_profile, mollified_power_profile
 from .inequalities import (
     FAMILY_KINDS,
+    FUNCTIONALS,
     ModeFunction,
     OracleMismatchError,
     RayleighSweep,
     VerificationReport,
+    full_space_quotient,
     hardy_eps_check,
-    hardy_quotient_p,
     hardy_remainder_check,
-    hr_quotient,
-    hr_weighted_quotient,
     mode_coefficients,
     mode_quotient,
     oracle_quotient,
     quadrature_quotient,
-    rellich_quotient,
     sharp_constant,
     sharpness_sweep,
 )

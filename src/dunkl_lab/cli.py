@@ -27,17 +27,7 @@ from .inequalities import (
     mode_coefficients,
     sharpness_sweep,
 )
-from .polyalg import (
-    Polynomial,
-    commutativity_check,
-    divided_difference,
-    dunkl_laplacian_fast,
-    dunkl_laplacian_sym,
-    leibniz_check,
-    norm_squared,
-    positive_subsystem_independence,
-    reflect_poly,
-)
+from .polyalg import Polynomial, identity_checks, norm_squared
 from .reflection import build_root_system
 
 SUITES = ("identities", "harmonics", "hardy", "hardy-rellich", "all")
@@ -116,50 +106,11 @@ def _random_exact_polynomials(N: int, count: int, max_degree: int = 3):
 
 
 def _suite_identities(rs, cfg):
-    details = []
     polys = _random_exact_polynomials(rs.dimension, 8)
-
-    def entry(name, ok, residual=0.0):
-        details.append(
-            {
-                "check": name,
-                "tolerance": 0.0,
-                "residual": float(residual),
-                "passed": bool(ok),
-            }
-        )
-
-    for idx, p in enumerate(polys):
-        i, j = 0, min(1, rs.dimension - 1)
-        ok, diff = commutativity_check(rs, i, j, p)
-        entry(f"commutativity/{idx}", ok, 0.0 if ok else 1.0)
-        a = dunkl_laplacian_sym(rs, p)  # raises on route mismatch
-        b = dunkl_laplacian_fast(rs, p)
-        entry(f"laplacian_routes/{idx}", a == b)
-        general, _short = leibniz_check(rs, p, polys[(idx + 1) % len(polys)], i)
-        entry(f"leibniz_general/{idx}", general.is_zero())
-        inv = norm_squared(rs.dimension)
-        _gen, short = leibniz_check(rs, p, inv, i)
-        entry(f"leibniz_invariant/{idx}", short.is_zero())
-        root = rs.positive_roots[idx % len(rs.positive_roots)]
-        q = divided_difference(p, root)
-        lin = Polynomial(rs.dimension)
-        for axis, c in enumerate(root.direction):
-            if c:
-                e = tuple(1 if t == axis else 0 for t in range(rs.dimension))
-                lin = lin + Polynomial(rs.dimension, {e: Fraction(c)})
-        entry(
-            f"divided_difference/{idx}",
-            (lin * q - (p - reflect_poly(p, root))).is_zero(),
-        )
-        flips = tuple(
-            1 if t == idx % len(rs.positive_roots) else 0
-            for t in range(len(rs.positive_roots))
-        )
-        entry(
-            f"subsystem_independence/{idx}",
-            positive_subsystem_independence(rs, flips, p, i),
-        )
+    details = [
+        {"check": name, "tolerance": 0.0, "residual": residual, "passed": ok}
+        for name, ok, residual in identity_checks(rs, polys)
+    ]
     return details, {}
 
 
@@ -205,23 +156,15 @@ def _sweep_entry(sweep):
 
 
 def _run_sweeps(rs, cfg, kinds, suite):
-    N = rs.dimension
-    gamma = float(rs.gamma)
-    nbar = N + 2.0 * gamma
     epsilons = [float(e) for e in cfg["eps"].split(",") if e.strip()]
+    p = None if cfg["p"] == "auto" else float(cfg["p"])  # None: Nbar + 1
     details, csvs = [], {}
     for kind in kinds:
-        p = None
-        if kind == "hardy_p":
-            p = nbar + 1.0 if cfg["p"] == "auto" else float(cfg["p"])
-            if p <= nbar:
-                raise UsageError(f"--p must exceed {nbar:g} for this system")
-        if kind in ("rellich", "hardy_rellich") and nbar <= 4.0:
-            raise UsageError("fourth-order sweeps need N + 2*gamma > 4")
+        # sharpness_sweep raises ValueError (exit 2) outside the admissible range
         sweep = sharpness_sweep(
             kind,
-            N,
-            gamma,
+            rs.dimension,
+            float(rs.gamma),
             p=p,
             epsilons=epsilons,
             tolerance=cfg["tol"],
@@ -367,6 +310,8 @@ def _merge_config(args) -> dict:
         raise UsageError("--tol must be positive")
     if int(cfg["quad_order"]) < 8:
         raise UsageError("--quad-order must be at least 8")
+    if int(cfg["nmax"]) < 1:
+        raise UsageError("--nmax must be at least 1")
     eps = [float(e) for e in str(cfg["eps"]).split(",") if e.strip()]
     if not eps or any(a <= b for a, b in zip(eps, eps[1:])):
         raise UsageError("--eps must be a strictly decreasing list")

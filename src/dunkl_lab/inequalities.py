@@ -1,13 +1,12 @@
 """Inequality functionals, sharpness sweeps, and remainder-term checks.
 
-Five functionals are covered, each with its sharp constant in the effective
-dimension nbar = N + 2*gamma:
-
-  hardy_p        int |grad_k u|^p  vs  int |u|^p / delta^p     -> ((p-nbar)/p)^p
-  hardy_2        int |grad_k u|^2  vs  int u^2 / |x|^2         -> ((nbar-2)/2)^2
-  rellich        int |lap_k u|^2   vs  int u^2 / |x|^4         -> nbar^2 (nbar-4)^2 / 16
-  weighted_hr    int |x|^2 |lap_k u|^2  vs  int |grad_k u|^2   -> (nbar-2)^2 / 4
-  hardy_rellich  int |lap_k u|^2   vs  int |grad_k u|^2/|x|^2  -> nbar^2 / 4
+``FUNCTIONALS`` is the single description of the five functionals (L^p
+Hardy, L^2 Hardy, Rellich, weighted Hardy-Rellich, Hardy-Rellich): one row
+each holds the sharp constant in the effective dimension nbar = N + 2*gamma,
+the extremizer family, the admissibility rule, and the numerator and
+denominator as ``Term`` records.  Constants, extremizers, the closed-form,
+quadrature, full-space and single-mode quotients and the sweep's
+admissibility check all read that row.
 
 Sweeps evaluate each quotient twice per epsilon, once from closed-form power
 integrals and once by weighted quadrature on the same profile; the two paths
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .reflection import RootSystem
 
 __all__ = [
     "FAMILY_KINDS",
+    "FUNCTIONALS",
+    "Functional",
+    "Term",
     "RayleighSweep",
     "ModeCoefficients",
     "ModeFunction",
@@ -51,16 +54,12 @@ __all__ = [
     "mode_coefficients",
     "radial_hardy_1d",
     "mode_functional",
-    "hardy_quotient_p",
-    "rellich_quotient",
-    "hr_weighted_quotient",
-    "hr_quotient",
+    "full_space_quotient",
     "mode_quotient",
     "hardy_remainder_check",
     "hardy_eps_check",
 ]
 
-FAMILY_KINDS = ("hardy_p", "hardy_2", "rellich", "weighted_hr", "hardy_rellich")
 DEFAULT_EPSILONS = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 ORACLE_AGREEMENT_RTOL = 1e-6
 
@@ -73,33 +72,134 @@ class DegenerateInputError(ValueError):
     """A quotient denominator vanished."""
 
 
+@dataclass(frozen=True)
+class Term:
+    """One side of a quotient: int ||x|^k F u|^q dmu, F one of value, Dunkl
+    gradient or Dunkl Laplacian (``field`` "value", "grad" or "lap").
+
+    ``q = None`` stands for the family exponent p.  The radial shift is
+    s = k*q: the weight is |x|^s in full space (delta^s on a domain) and
+    r^(nbar-1+s) in one dimension.  ``head`` and ``tail`` give the power law
+    of the extremizer's 1-D integrand at r -> 0 and r -> inf: "eps" is the
+    r^(eps-1) head or r^(-1-eps) tail that carries the 1/eps mass, "weight"
+    is the weight's own power (the extremizer is constant there), and None
+    is a plain Gauss head, or an integrand that vanishes past the last
+    breakpoint.
+    """
+
+    field: str
+    k: int = 0
+    q: float | None = 2.0
+    head: str | None = None
+    tail: str | None = "eps"
+
+    def power(self, p):
+        return p if self.q is None else self.q
+
+    def shift(self, p):
+        return self.k * self.power(p)
+
+
+@dataclass(frozen=True)
+class Functional:
+    """One inequality: num >= constant * den over its admissible range."""
+
+    constant: Callable  # (nbar, p) -> sharp constant
+    extremizer: Callable  # (nbar, eps, p, h) -> PiecewiseProfile
+    rule: str  # the admissibility rule, as stated in errors
+    admissible: Callable  # (nbar, p) -> bool
+    mollified: bool  # C^2-joined extremizer: 2% tolerance, 1e-5 slack
+    num: Term
+    den: Term
+
+    @property
+    def uses_p(self) -> bool:
+        return self.num.q is None
+
+
+FUNCTIONALS = {
+    "hardy_p": Functional(
+        constant=lambda nbar, p: ((p - nbar) / p) ** p,
+        extremizer=lambda nbar, eps, p, h: hardy_p_profile(p, nbar, eps),
+        rule="p > nbar",
+        admissible=lambda nbar, p: p > nbar,
+        mollified=False,
+        num=Term("grad", q=None, head="eps", tail=None),
+        den=Term("value", k=-1, q=None, head="eps", tail="weight"),
+    ),
+    "hardy_2": Functional(
+        constant=lambda nbar, p: ((nbar - 2.0) / 2.0) ** 2,
+        extremizer=lambda nbar, eps, p, h: step_power_profile(
+            -(nbar - 2.0 + eps) / 2.0
+        ),
+        rule="nbar > 2",
+        admissible=lambda nbar, p: nbar > 2.0,
+        mollified=False,
+        num=Term("grad"),
+        den=Term("value", k=-1, head="weight"),
+    ),
+    "rellich": Functional(
+        constant=lambda nbar, p: nbar**2 * (nbar - 4.0) ** 2 / 16.0,
+        extremizer=lambda nbar, eps, p, h: mollified_power_profile(
+            -(nbar - 4.0 + eps) / 2.0, h
+        ),
+        rule="nbar > 4",
+        admissible=lambda nbar, p: nbar > 4.0,
+        mollified=True,
+        num=Term("lap"),
+        den=Term("value", k=-2, head="weight"),
+    ),
+    "weighted_hr": Functional(
+        constant=lambda nbar, p: (nbar - 2.0) ** 2 / 4.0,
+        extremizer=lambda nbar, eps, p, h: mollified_power_profile(
+            -(nbar - 2.0 + eps) / 2.0, h
+        ),
+        rule="nbar > 2",
+        admissible=lambda nbar, p: nbar > 2.0,
+        mollified=True,
+        num=Term("lap", k=1),
+        den=Term("grad"),
+    ),
+    "hardy_rellich": Functional(
+        constant=lambda nbar, p: nbar**2 / 4.0,
+        extremizer=lambda nbar, eps, p, h: mollified_power_profile(
+            -(nbar - 4.0 + eps) / 2.0, h
+        ),
+        rule="nbar > 4",
+        admissible=lambda nbar, p: nbar > 4.0,
+        mollified=True,
+        num=Term("lap"),
+        den=Term("grad", k=-1),
+    ),
+}
+FAMILY_KINDS = tuple(FUNCTIONALS)
+
+
+def _functional(kind: str) -> Functional:
+    if kind not in FUNCTIONALS:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return FUNCTIONALS[kind]
+
+
 def sharp_constant(kind: str, nbar: float, p: float | None = None) -> float:
-    if kind == "hardy_p":
-        return ((p - nbar) / p) ** p
-    if kind == "hardy_2":
-        return ((nbar - 2.0) / 2.0) ** 2
-    if kind == "rellich":
-        return nbar**2 * (nbar - 4.0) ** 2 / 16.0
-    if kind == "weighted_hr":
-        return (nbar - 2.0) ** 2 / 4.0
-    if kind == "hardy_rellich":
-        return nbar**2 / 4.0
-    raise ValueError(f"unknown family kind {kind!r}")
+    return _functional(kind).constant(nbar, p)
 
 
 def build_extremizer(
     kind: str, nbar: float, eps: float, p: float | None = None, h: float = 0.25
 ) -> PiecewiseProfile:
     """Near-extremal radial profile for the given functional at this eps."""
-    if kind == "hardy_p":
-        return hardy_p_profile(p, nbar, eps)
-    if kind == "hardy_2":
-        return step_power_profile(-(nbar - 2.0 + eps) / 2.0)
-    if kind in ("rellich", "hardy_rellich"):
-        return mollified_power_profile(-(nbar - 4.0 + eps) / 2.0, h)
-    if kind == "weighted_hr":
-        return mollified_power_profile(-(nbar - 2.0 + eps) / 2.0, h)
-    raise ValueError(f"unknown family kind {kind!r}")
+    return _functional(kind).extremizer(nbar, eps, p, h)
+
+
+def _closed_form(prof: PiecewiseProfile, term: Term, nbar: float, p) -> float:
+    q = term.power(p)
+    exponent = nbar - 1.0 + term.shift(p)
+    if term.field == "lap":
+        return prof.integral_laplacian_sq(exponent, nbar)
+    if term.field == "grad":
+        return prof.integral_deriv_power(q, exponent)
+    return prof.integral_value_power(q, exponent)
 
 
 def oracle_quotient(
@@ -107,23 +207,28 @@ def oracle_quotient(
 ) -> float:
     """Rayleigh quotient from closed-form power integrals (spherical factors
     cancel for radial profiles, so everything is one-dimensional)."""
-    prof = build_extremizer(kind, nbar, eps, p, h)
-    if kind == "hardy_p":
-        num = prof.integral_deriv_power(p, nbar - 1.0)
-        den = prof.integral_value_power(p, nbar - 1.0 - p)
-    elif kind == "hardy_2":
-        num = prof.integral_deriv_power(2.0, nbar - 1.0)
-        den = prof.integral_value_power(2.0, nbar - 3.0)
-    elif kind == "rellich":
-        num = prof.integral_laplacian_sq(nbar - 1.0, nbar)
-        den = prof.integral_value_power(2.0, nbar - 5.0)
-    elif kind == "weighted_hr":
-        num = prof.integral_laplacian_sq(nbar + 1.0, nbar)
-        den = prof.integral_deriv_power(2.0, nbar - 1.0)
-    else:
-        num = prof.integral_laplacian_sq(nbar - 1.0, nbar)
-        den = prof.integral_deriv_power(2.0, nbar - 3.0)
-    return num / den
+    f = _functional(kind)
+    prof = f.extremizer(nbar, eps, p, h)
+    return _closed_form(prof, f.num, nbar, p) / _closed_form(prof, f.den, nbar, p)
+
+
+def _quadrature(prof, term: Term, nbar: float, eps: float, p, nodes: int):
+    q = term.power(p)
+    exponent = nbar - 1.0 + term.shift(p)
+    ends = {None: None, "weight": exponent}
+    head = dict(ends, eps=eps - 1.0)[term.head]
+    tail = dict(ends, eps=-1.0 - eps)[term.tail]
+    grid = RadialGrid(
+        prof.breakpoints, nodes, "none" if tail is None else "substitution"
+    )
+    field = {
+        "value": prof.value,
+        "grad": prof.deriv,
+        "lap": lambda r: prof.radial_laplacian(r, nbar),
+    }[term.field]
+    return integrate_radial(
+        lambda r: np.abs(field(r)) ** q, exponent, grid, head, tail
+    ).value
 
 
 def quadrature_quotient(
@@ -136,68 +241,11 @@ def quadrature_quotient(
 ) -> float:
     """Same quotient, evaluating the profile pointwise under weighted
     Gauss rules (Jacobi rules absorb the r^(eps-1) head and tail)."""
-    prof = build_extremizer(kind, nbar, eps, p, h)
-    bps = prof.breakpoints
-    finite = RadialGrid(bps, nodes, "none")
-    tailed = RadialGrid(bps, nodes, "substitution")
-
-    def dv(r):
-        return np.abs(prof.deriv(r))
-
-    def vv(r):
-        return np.abs(prof.value(r))
-
-    def lap2(r):
-        return prof.radial_laplacian(r, nbar) ** 2
-
-    if kind == "hardy_p":
-        num = integrate_radial(
-            lambda r: dv(r) ** p, nbar - 1.0, finite, head_power=eps - 1.0
-        ).value
-        den = integrate_radial(
-            lambda r: vv(r) ** p,
-            nbar - 1.0 - p,
-            tailed,
-            head_power=eps - 1.0,
-            tail_power=nbar - 1.0 - p,
-        ).value
-    elif kind == "hardy_2":
-        num = integrate_radial(
-            lambda r: dv(r) ** 2, nbar - 1.0, tailed, tail_power=-1.0 - eps
-        ).value
-        den = integrate_radial(
-            lambda r: vv(r) ** 2,
-            nbar - 3.0,
-            tailed,
-            head_power=nbar - 3.0,
-            tail_power=-1.0 - eps,
-        ).value
-    elif kind == "rellich":
-        num = integrate_radial(
-            lap2, nbar - 1.0, tailed, tail_power=-1.0 - eps
-        ).value
-        den = integrate_radial(
-            lambda r: vv(r) ** 2,
-            nbar - 5.0,
-            tailed,
-            head_power=nbar - 5.0,
-            tail_power=-1.0 - eps,
-        ).value
-    elif kind == "weighted_hr":
-        num = integrate_radial(
-            lap2, nbar + 1.0, tailed, tail_power=-1.0 - eps
-        ).value
-        den = integrate_radial(
-            lambda r: dv(r) ** 2, nbar - 1.0, tailed, tail_power=-1.0 - eps
-        ).value
-    else:
-        num = integrate_radial(
-            lap2, nbar - 1.0, tailed, tail_power=-1.0 - eps
-        ).value
-        den = integrate_radial(
-            lambda r: dv(r) ** 2, nbar - 3.0, tailed, tail_power=-1.0 - eps
-        ).value
-    return num / den
+    f = _functional(kind)
+    prof = f.extremizer(nbar, eps, p, h)
+    return _quadrature(prof, f.num, nbar, eps, p, nodes) / _quadrature(
+        prof, f.den, nbar, eps, p, nodes
+    )
 
 
 def extrapolate_to_zero(xs, ys) -> float:
@@ -256,23 +304,23 @@ def sharpness_sweep(
 
     Pure-power families default to 1% tolerance, mollified ones to 2%; the
     oracle and quadrature paths must agree to 1e-6 at every eps >= 1e-3.
+    Raises ValueError outside the functional's admissible range.
     """
-    if kind not in FAMILY_KINDS:
-        raise ValueError(f"unknown family kind {kind!r}")
+    f = _functional(kind)
     epsilons = tuple(float(e) for e in epsilons)
     if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilon schedule must be strictly decreasing")
     if epsilons[-1] < 1e-4:
         raise ValueError("epsilons below 1e-4 are under the quadrature floor")
     nbar = N + 2.0 * gamma
-    mollified = kind in ("rellich", "weighted_hr", "hardy_rellich")
-    if kind == "hardy_p":
-        if p is None:
-            p = nbar + 1.0
-        if p <= nbar:
-            raise ValueError("the L^p family needs p > nbar")
+    if not f.uses_p:
+        p = None
+    elif p is None:
+        p = nbar + 1.0
+    if not f.admissible(nbar, p):
+        raise ValueError(f"{kind} needs {f.rule} (nbar = {nbar:g}, p = {p})")
     if tolerance is None:
-        tolerance = 0.02 if mollified else 0.01
+        tolerance = 0.02 if f.mollified else 0.01
     target = sharp_constant(kind, nbar, p)
 
     q_oracle, q_quad = [], []
@@ -294,7 +342,7 @@ def sharpness_sweep(
     ex_q = extrapolate_to_zero(epsilons[-tail:], q_quad[-tail:])
     rel_gap = abs(ex_o - target) / target
 
-    slack = 1e-8 * (1.0 + target) if not mollified else 1e-5 * target
+    slack = 1e-8 * (1.0 + target) if not f.mollified else 1e-5 * target
     monotone = all(
         b <= a + slack for a, b in zip(q_oracle, q_oracle[1:])
     )
@@ -406,70 +454,33 @@ def _check_den(v: float):
         raise DegenerateInputError("quotient denominator is numerically zero")
 
 
-def hardy_quotient_p(
+def full_space_quotient(
     rs: RootSystem,
     u: SmoothFunction,
-    p: float,
+    kind: str,
     domain: DomainSpec,
     grid: RadialGrid,
     rule: SphericalRule,
+    p: float | None = None,
 ) -> float:
-    """int |grad_k u|^p dmu / int |u|^p / delta^p dmu on the given domain."""
+    """Numerator over denominator of ``kind`` for u against dmu, with the
+    weight |x|^s read as delta^s for the domain's distance function (delta
+    = |x| on the punctured space)."""
+    f = _functional(kind)
     dd = distance_data(domain, rs)
-    num = integrate_measure(
-        rs, lambda X: _norms(dunkl_gradient(rs, u, X)) ** p, grid, rule
-    ).value
-    den = integrate_measure(
-        rs, lambda X: np.abs(u.value(X)) ** p / dd.delta(X) ** p, grid, rule
-    ).value
-    _check_den(den)
-    return num / den
+    fields = {
+        "value": u.value,
+        "grad": lambda X: _norms(dunkl_gradient(rs, u, X)),
+        "lap": lambda X: dunkl_laplacian_num(rs, u, X),
+    }
 
+    def integral(term: Term) -> float:
+        F, q, s = fields[term.field], term.power(p), term.shift(p)
+        return integrate_measure(
+            rs, lambda X: np.abs(F(X)) ** q * dd.delta(X) ** s, grid, rule
+        ).value
 
-def rellich_quotient(
-    rs: RootSystem, u: SmoothFunction, grid: RadialGrid, rule: SphericalRule
-) -> float:
-    """int |lap_k u|^2 dmu / int u^2 / |x|^4 dmu."""
-    num = integrate_measure(
-        rs, lambda X: dunkl_laplacian_num(rs, u, X) ** 2, grid, rule
-    ).value
-    den = integrate_measure(
-        rs, lambda X: u.value(X) ** 2 / _norms(X) ** 4, grid, rule
-    ).value
-    _check_den(den)
-    return num / den
-
-
-def hr_weighted_quotient(
-    rs: RootSystem, u: SmoothFunction, grid: RadialGrid, rule: SphericalRule
-) -> float:
-    """int |x|^2 |lap_k u|^2 dmu / int |grad_k u|^2 dmu."""
-    num = integrate_measure(
-        rs,
-        lambda X: _norms(X) ** 2 * dunkl_laplacian_num(rs, u, X) ** 2,
-        grid,
-        rule,
-    ).value
-    den = integrate_measure(
-        rs, lambda X: np.sum(dunkl_gradient(rs, u, X) ** 2, axis=1), grid, rule
-    ).value
-    _check_den(den)
-    return num / den
-
-
-def hr_quotient(
-    rs: RootSystem, u: SmoothFunction, grid: RadialGrid, rule: SphericalRule
-) -> float:
-    """int |lap_k u|^2 dmu / int |grad_k u|^2 / |x|^2 dmu."""
-    num = integrate_measure(
-        rs, lambda X: dunkl_laplacian_num(rs, u, X) ** 2, grid, rule
-    ).value
-    den = integrate_measure(
-        rs,
-        lambda X: np.sum(dunkl_gradient(rs, u, X) ** 2, axis=1) / _norms(X) ** 2,
-        grid,
-        rule,
-    ).value
+    num, den = integral(f.num), integral(f.den)
     _check_den(den)
     return num / den
 
@@ -539,25 +550,21 @@ class ModeFunction:
 
         return self.c0 * integrate_profile_expression(g, density, exponent)
 
-    def quotient_integrals(self, kind: str):
-        nbar = self.nbar
-        if kind == "rellich":
-            return self.laplacian_integral(nbar - 1.0), self.value_integral(nbar - 5.0)
-        if kind == "weighted_hr":
-            return self.laplacian_integral(nbar + 1.0), self.gradient_integral(
-                nbar - 1.0
-            )
-        if kind == "hardy_rellich":
-            return self.laplacian_integral(nbar - 1.0), self.gradient_integral(
-                nbar - 3.0
-            )
-        if kind == "hardy_2":
-            return self.gradient_integral(nbar - 1.0), self.value_integral(nbar - 3.0)
-        raise ValueError(f"no single-mode reduction for {kind!r}")
-
 
 def mode_quotient(mf: ModeFunction, kind: str) -> float:
-    num, den = mf.quotient_integrals(kind)
+    """The quotient of ``kind`` for a single mode, reduced to one dimension;
+    the reduction covers the squared (q = 2) functionals."""
+    f = _functional(kind)
+    if f.uses_p:
+        raise ValueError(f"no single-mode reduction for {kind!r}")
+    integrals = {
+        "value": mf.value_integral,
+        "grad": mf.gradient_integral,
+        "lap": mf.laplacian_integral,
+    }
+    num, den = (
+        integrals[t.field](mf.nbar - 1.0 + t.k * t.q) for t in (f.num, f.den)
+    )
     _check_den(den)
     return num / den
 
@@ -574,14 +581,41 @@ class VerificationReport:
     passed: bool
 
 
-def _pth_power_terms(rs, u, p, dd, grid, rule):
-    lhs = integrate_measure(
-        rs, lambda X: _norms(dunkl_gradient(rs, u, X)) ** p, grid, rule
-    )
-    t_p = integrate_measure(
-        rs, lambda X: np.abs(u.value(X)) ** p / dd.delta(X) ** p, grid, rule
-    )
-    return lhs, t_p
+def _domain_check(rs, functions, dd, p, grid, rule, base_tolerance, a, b,
+                  extra, check_id) -> VerificationReport:
+    """int |grad_k u|^p >= a T_p + b T_x for each (name, u) in ``functions``,
+    with T_p = int |u|^p/delta^p and T_x = int extra(x) |u|^p/delta^(p-1);
+    the quadrature's own error estimates widen the tolerance."""
+    entries = []
+    ok = True
+    for name, u in functions:
+        lhs = integrate_measure(
+            rs, lambda X: _norms(dunkl_gradient(rs, u, X)) ** p, grid, rule
+        )
+        t_p = integrate_measure(
+            rs, lambda X: np.abs(u.value(X)) ** p / dd.delta(X) ** p, grid, rule
+        )
+        t_x = integrate_measure(
+            rs,
+            lambda X: extra(X) * np.abs(u.value(X)) ** p / dd.delta(X) ** (p - 1.0),
+            grid,
+            rule,
+        )
+        rhs = a * t_p.value + b * t_x.value
+        quad_err = (
+            lhs.estimated_error
+            + abs(a) * t_p.estimated_error
+            + abs(b) * t_x.estimated_error
+        )
+        tol = base_tolerance * (abs(rhs) + 1.0) + quad_err
+        margin = lhs.value - rhs
+        passed = margin >= -tol
+        ok = ok and passed
+        entries.append(
+            {"name": name, "lhs": lhs.value, "rhs": rhs, "margin": margin,
+             "tolerance": tol, "passed": passed}
+        )
+    return VerificationReport(check_id, base_tolerance, entries, ok)
 
 
 def hardy_remainder_check(
@@ -603,37 +637,19 @@ def hardy_remainder_check(
     domain.
     """
     dd = distance_data(domain, rs)
-    cp = ((p - 1.0) / p) ** p
-    cp1 = ((p - 1.0) / p) ** (p - 1.0)
-    entries = []
-    ok = True
-    for name, u in functions:
-        lhs, t_p = _pth_power_terms(rs, u, p, dd, grid, rule)
 
-        def remainder_density(X):
-            pair = dd.rho_pairing(X)
-            bracket = (
-                -dd.laplacian_delta(X)
-                + (p / 2.0 - 1.0) * pair
-                - (p / 2.0) * np.abs(pair)
-            )
-            return bracket * np.abs(u.value(X)) ** p / dd.delta(X) ** (p - 1.0)
+    def bracket(X):
+        pair = dd.rho_pairing(X)
+        return (
+            -dd.laplacian_delta(X)
+            + (p / 2.0 - 1.0) * pair
+            - (p / 2.0) * np.abs(pair)
+        )
 
-        t_rem = integrate_measure(rs, remainder_density, grid, rule)
-        rhs = cp * t_p.value + cp1 * t_rem.value
-        quad_err = lhs.estimated_error + cp * t_p.estimated_error + cp1 * abs(
-            t_rem.estimated_error
-        )
-        tol = base_tolerance * (abs(rhs) + 1.0) + quad_err
-        margin = lhs.value - rhs
-        passed = margin >= -tol
-        ok = ok and passed
-        entries.append(
-            {"name": name, "lhs": lhs.value, "rhs": rhs, "margin": margin,
-             "tolerance": tol, "passed": passed}
-        )
-    return VerificationReport(
-        f"hardy_remainder[{domain.kind},p={p}]", base_tolerance, entries, ok
+    return _domain_check(
+        rs, functions, dd, p, grid, rule, base_tolerance,
+        ((p - 1.0) / p) ** p, ((p - 1.0) / p) ** (p - 1.0), bracket,
+        f"hardy_remainder[{domain.kind},p={p}]",
     )
 
 
@@ -655,34 +671,9 @@ def hardy_eps_check(
     valid on domains with <rho, grad delta> >= 0.
     """
     dd = distance_data(domain, rs)
-    c1 = (p - 1.0) * (eps ** (-p) - eps ** (-(p**2) / (p - 1.0)))
-    c2 = eps ** (-p)
-    entries = []
-    ok = True
-    for name, u in functions:
-        lhs, t_p = _pth_power_terms(rs, u, p, dd, grid, rule)
-        t_lap = integrate_measure(
-            rs,
-            lambda X: dd.dunkl_laplacian_delta(X)
-            * np.abs(u.value(X)) ** p
-            / dd.delta(X) ** (p - 1.0),
-            grid,
-            rule,
-        )
-        rhs = c1 * t_p.value - c2 * t_lap.value
-        quad_err = (
-            lhs.estimated_error
-            + abs(c1) * t_p.estimated_error
-            + c2 * t_lap.estimated_error
-        )
-        tol = base_tolerance * (abs(rhs) + 1.0) + quad_err
-        margin = lhs.value - rhs
-        passed = margin >= -tol
-        ok = ok and passed
-        entries.append(
-            {"name": name, "lhs": lhs.value, "rhs": rhs, "margin": margin,
-             "tolerance": tol, "passed": passed}
-        )
-    return VerificationReport(
-        f"hardy_eps[{domain.kind},p={p},eps={eps}]", base_tolerance, entries, ok
+    return _domain_check(
+        rs, functions, dd, p, grid, rule, base_tolerance,
+        (p - 1.0) * (eps ** (-p) - eps ** (-(p**2) / (p - 1.0))), -(eps ** (-p)),
+        dd.dunkl_laplacian_delta,
+        f"hardy_eps[{domain.kind},p={p},eps={eps}]",
     )

@@ -35,6 +35,7 @@ __all__ = [
     "leibniz_check",
     "commutativity_check",
     "positive_subsystem_independence",
+    "identity_checks",
     "poly_to_json",
     "poly_from_json",
 ]
@@ -164,11 +165,6 @@ class Polynomial:
                 t[e2] = t.get(e2, Fraction(0)) + c * e[i]
         return Polynomial(self.nvars, t)
 
-    def homogeneous_component(self, degree: int) -> "Polynomial":
-        return Polynomial(
-            self.nvars, {e: c for e, c in self.terms.items() if sum(e) == degree}
-        )
-
     # -- substitution and evaluation ---------------------------------------
 
     def compose_linear(self, matrix) -> "Polynomial":
@@ -285,7 +281,6 @@ def _divide_by_linear(p: Polynomial, v) -> Polynomial:
     prev = Polynomial(n)  # b_d for d above the current one
     for d in range(D, 0, -1):
         num = a.get(d, Polynomial(n)) - rest * prev
-        bd = num * Fraction(1, 1)
         bd = Polynomial(n, {e: c / vj for e, c in num.terms.items()})
         b[d - 1] = bd
         prev = bd
@@ -439,6 +434,52 @@ def positive_subsystem_independence(rs: RootSystem, flips, p: Polynomial, i: int
     ref = dunkl_apply(rs, i, p)
     alt = dunkl_apply(rs, i, p, flips=tuple(flips))
     return ref == alt
+
+
+def identity_checks(rs: RootSystem, polys) -> list:
+    """The exact identity suite over a list of polynomials.
+
+    Per polynomial (index idx): T_i T_j = T_j T_i, the two Dunkl-Laplacian
+    routes, the general and the invariant-factor product rules, the divided
+    difference against one positive root, and independence of the positive
+    subsystem, with i = idx mod N and j = idx+1 mod N.  Returns
+    (name, ok, residual) entries; an identity holds exactly or not at all,
+    so residual is 0.0 or 1.0.
+    """
+    N = rs.dimension
+    roots = rs.positive_roots
+    m = len(roots)
+    inv = norm_squared(N)
+    out = []
+    for idx, p in enumerate(polys):
+        i, j = idx % N, (idx + 1) % N
+        root = roots[idx % m]
+        lin = Polynomial(
+            N,
+            {
+                tuple(1 if t == axis else 0 for t in range(N)): c
+                for axis, c in enumerate(root.direction)
+                if c
+            },
+        )
+        general, _ = leibniz_check(rs, p, polys[(idx + 1) % len(polys)], i)
+        _, short = leibniz_check(rs, p, inv, i)
+        flips = tuple(1 if t == idx % m else 0 for t in range(m))
+        checks = (
+            ("commutativity", commutativity_check(rs, i, j, p)[0]),
+            # dunkl_laplacian_sym itself raises if its two routes disagree
+            ("laplacian_routes",
+             dunkl_laplacian_sym(rs, p) == dunkl_laplacian_fast(rs, p)),
+            ("leibniz_general", general.is_zero()),
+            ("leibniz_invariant", short.is_zero()),
+            ("divided_difference",
+             (lin * divided_difference(p, root) - (p - reflect_poly(p, root)))
+             .is_zero()),
+            ("subsystem_independence",
+             positive_subsystem_independence(rs, flips, p, i)),
+        )
+        out.extend((f"{name}/{idx}", ok, 0.0 if ok else 1.0) for name, ok in checks)
+    return out
 
 
 # ---------------------------------------------------------------------------

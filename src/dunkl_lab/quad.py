@@ -55,9 +55,8 @@ class SphericalRule:
 class RadialGrid:
     """Breakpoints tile [0, R_max]; beyond R_max a tail mode may apply.
 
-    tail_mode: "none" (truncate), "analytic-power" (exact power antiderivative,
-    valid when the integrand is an exact power beyond R_max), or
-    "substitution" (r = R/t with a Gauss-Jacobi rule matched to the decay).
+    tail_mode: "none" (truncate) or "substitution" (r = R/t with a
+    Gauss-Jacobi rule matched to the decay).
     """
 
     breakpoints: tuple
@@ -70,7 +69,7 @@ class RadialGrid:
             raise ValueError("breakpoints must be strictly increasing")
         if self.nodes_per_interval < 8:
             raise ValueError("need at least 8 nodes per interval")
-        if self.tail_mode not in ("none", "analytic-power", "substitution"):
+        if self.tail_mode not in ("none", "substitution"):
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
 
 
@@ -203,17 +202,13 @@ def _radial_value(g, exponent, grid, head_power, tail_power, n):
         if tail_power >= -1.0:
             raise DivergenceError("tail exponent >= -1 diverges")
         R = bps[-1]
-        if grid.tail_mode == "analytic-power":
-            gR = float(np.asarray(g(np.array([R])), dtype=float)[0])
-            total += gR * R ** (exponent + 1.0) / (-(tail_power + 1.0))
-        else:
-            # r = R/t; integrand ~ t^beta near t=0 with beta = -tail_power-2
-            beta = -tail_power - 2.0
-            x, w = _jacobi(n, 0.0, beta)
-            t = (x + 1.0) / 2.0
-            r = R / t
-            psi = np.asarray(g(r), dtype=float) * r**exponent * R / t ** (2.0 + beta)
-            total += 0.5 ** (beta + 1.0) * float(np.sum(w * psi))
+        # r = R/t; integrand ~ t^beta near t=0 with beta = -tail_power-2
+        beta = -tail_power - 2.0
+        x, w = _jacobi(n, 0.0, beta)
+        t = (x + 1.0) / 2.0
+        r = R / t
+        psi = np.asarray(g(r), dtype=float) * r**exponent * R / t ** (2.0 + beta)
+        total += 0.5 ** (beta + 1.0) * float(np.sum(w * psi))
     return total
 
 

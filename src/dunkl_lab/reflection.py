@@ -20,7 +20,6 @@ __all__ = [
     "Root",
     "RootSystem",
     "ReflectionGroup",
-    "MultiplicitySummary",
     "SingularPointError",
     "build_root_system",
     "embed_root_system",
@@ -118,27 +117,11 @@ class RootSystem:
     def n_orbits(self) -> int:
         return max(self.orbit_labels) + 1 if self.orbit_labels else 0
 
-    def multiplicity_of(self, root: Root):
-        for r, k in zip(self.positive_roots, self.multiplicities):
-            if r == root or r == root.negate():
-                return k
-        raise KeyError(f"{root} is not a root of this system")
-
     def active_roots(self):
         """(root, k) pairs with k != 0, the only ones entering Dunkl sums."""
         return [
             (r, k) for r, k in zip(self.positive_roots, self.multiplicities) if k != 0
         ]
-
-    def summary(self) -> "MultiplicitySummary":
-        g = self.gamma
-        return MultiplicitySummary(gamma=g, weight_degree=2 * g)
-
-
-@dataclass(frozen=True)
-class MultiplicitySummary:
-    gamma: float
-    weight_degree: float
 
 
 @dataclass(frozen=True)
@@ -146,8 +129,6 @@ class ReflectionGroup:
     """Closure of the generating reflections under matrix multiplication."""
 
     elements: tuple  # float (N, N) ndarrays
-    generator_indices: tuple
-    exact_elements: tuple | None = None  # matching rational matrices, if exact
 
     @property
     def order(self) -> int:
@@ -370,16 +351,11 @@ def generate_group(rs: RootSystem, max_order: int = 20000) -> ReflectionGroup:
                         )
         frontier = nxt
 
-    exact_elems = tuple(seen.values()) if exact else None
     elems = tuple(
         np.array([[float(x) for x in row] for row in m]) if exact else m
         for m in seen.values()
     )
-    return ReflectionGroup(
-        elements=elems,
-        generator_indices=tuple(range(len(rs.positive_roots))),
-        exact_elements=exact_elems,
-    )
+    return ReflectionGroup(elements=elems)
 
 
 # ---------------------------------------------------------------------------

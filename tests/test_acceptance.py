@@ -33,14 +33,9 @@ from dunkl_lab.inequalities import (
 )
 from dunkl_lab.polyalg import (
     Polynomial,
-    commutativity_check,
-    divided_difference,
     dunkl_laplacian_fast,
-    dunkl_laplacian_sym,
-    leibniz_check,
+    identity_checks,
     norm_squared,
-    positive_subsystem_independence,
-    reflect_poly,
 )
 from dunkl_lab.quad import RadialGrid, jitter_off_hyperplanes, sphere_rule
 from dunkl_lab.reflection import (
@@ -226,31 +221,12 @@ def test_criterion_7_exact_identities():
     ]
     total = 0
     for rs in systems:
-        N = rs.dimension
-        polys = _identity_corpus(rng, N, 20)
+        polys = _identity_corpus(rng, rs.dimension, 20)
         total += len(polys)
-        inv = norm_squared(N)
-        m = len(rs.positive_roots)
-        for idx, p in enumerate(polys):
-            i, j = idx % N, (idx + 1) % N
-            if i != j:
-                ok, diff = commutativity_check(rs, i, j, p)
-                assert ok and diff.is_zero()
-            assert dunkl_laplacian_sym(rs, p) == dunkl_laplacian_fast(rs, p)
-            general, _ = leibniz_check(rs, p, polys[(idx + 1) % len(polys)], i)
-            assert general.is_zero()
-            _, short = leibniz_check(rs, p, inv, i)
-            assert short.is_zero()
-            root = rs.positive_roots[idx % m]
-            q = divided_difference(p, root)
-            lin = Polynomial(N)
-            for axis, c in enumerate(root.direction):
-                if c:
-                    e = tuple(1 if t == axis else 0 for t in range(N))
-                    lin = lin + Polynomial(N, {e: Fraction(c)})
-            assert (lin * q - (p - reflect_poly(p, root))).is_zero()
-            flips = tuple(1 if t == idx % m else 0 for t in range(m))
-            assert positive_subsystem_independence(rs, flips, p, i)
+        entries = identity_checks(rs, polys)
+        assert len(entries) == 6 * len(polys)
+        for name, ok, residual in entries:
+            assert ok and residual == 0.0, (rs.family, name)
     assert total == 100
     assert time.monotonic() - start < 30.0
 

@@ -90,6 +90,8 @@ def test_usage_errors_exit_2(tmp_path):
                  "--out", str(tmp_path / "z")]) == 2
     assert _run(["verify", "hardy", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "w")]) == 2
+    assert _run(["verify", "harmonics", "--nmax", "0",
+                 "--out", str(tmp_path / "v")]) == 2
     assert _run(["verify", "nonsense"]) == 2
     assert _run(["frobnicate"]) == 2
 
@@ -103,5 +105,6 @@ def test_unknown_config_key_rejected(tmp_path):
 
 def test_fourth_order_needs_large_nbar(tmp_path):
     # N + 2 gamma = 2 for Z2^2 with k = 0: usage error, not a crash
-    assert _run(["verify", "hardy-rellich", "--family", "Z2", "--rank", "2",
-                 "--k", "0", "--out", str(tmp_path / "o")]) == 2
+    for suite in ("hardy-rellich", "hardy"):
+        assert _run(["verify", suite, "--family", "Z2", "--rank", "2",
+                     "--k", "0", "--out", str(tmp_path / suite)]) == 2

@@ -8,7 +8,7 @@ from dunkl_lab.corpus import (
     mode_function,
     separable_mode,
 )
-from dunkl_lab.domains import DomainSpec
+from dunkl_lab.domains import DomainSpec, distance_data
 from dunkl_lab.harmonics import kernel_basis
 from dunkl_lab.inequalities import (
     DEFAULT_EPSILONS,
@@ -17,23 +17,20 @@ from dunkl_lab.inequalities import (
     alternate_exponent_limit,
     build_extremizer,
     extrapolate_to_zero,
+    full_space_quotient,
     hardy_eps_check,
-    hardy_quotient_p,
     hardy_remainder_check,
-    hr_quotient,
-    hr_weighted_quotient,
     mode_coefficients,
     mode_functional,
     mode_quotient,
     oracle_quotient,
     quadrature_quotient,
     radial_hardy_1d,
-    rellich_quotient,
     sharp_constant,
     sharpness_sweep,
 )
 from dunkl_lab.polyalg import Polynomial
-from dunkl_lab.quad import RadialGrid, jitter_off_hyperplanes, sphere_rule
+from dunkl_lab.quad import RadialGrid, integrate_measure
 
 
 def _const_poly(N):
@@ -95,6 +92,8 @@ def test_sweep_rejects_bad_epsilons():
         sharpness_sweep("hardy_2", 3, 1.0, epsilons=[0.1, 1e-6])
     with pytest.raises(ValueError):
         sharpness_sweep("hardy_p", 3, 0.0, p=2.0)  # needs p > nbar
+    with pytest.raises(ValueError):
+        sharpness_sweep("weighted_hr", 2, 0.0)  # needs nbar > 2
     with pytest.raises(ValueError):
         sharpness_sweep("bogus", 3, 0.0)
 
@@ -169,14 +168,13 @@ def test_mode_reduction_matches_full_quadrature(rs_a2, rule_a2):
         p = _const_poly(3) if n == 0 else kernel_basis(rs_a2, n)[0]
         mf = separable_mode(rs_a2, prof, p)
         u = mode_function(prof, p)
-        pairs = {
-            "hardy_2": hardy_quotient_p(rs_a2, u, 2.0, spec, grid, rule_a2),
-            "rellich": rellich_quotient(rs_a2, u, grid, rule_a2),
-            "weighted_hr": hr_weighted_quotient(rs_a2, u, grid, rule_a2),
-            "hardy_rellich": hr_quotient(rs_a2, u, grid, rule_a2),
-        }
-        for kind, full in pairs.items():
+        for kind in ("hardy_2", "rellich", "weighted_hr", "hardy_rellich"):
+            full = full_space_quotient(rs_a2, u, kind, spec, grid, rule_a2)
             assert mode_quotient(mf, kind) == pytest.approx(full, rel=1e-10)
+        # the L^p row at p = 2 is the L^2 row
+        assert full_space_quotient(
+            rs_a2, u, "hardy_p", spec, grid, rule_a2, p=2.0
+        ) == pytest.approx(mode_quotient(mf, "hardy_2"), rel=1e-10)
 
 
 def test_quotients_scale_invariant(rs_a2):
@@ -208,7 +206,6 @@ def test_mode_quotients_respect_sharp_constants(rs_a2):
 
 def test_domain_remainder_and_eps_checks(rs_a2, rule_a2):
     from dunkl_lab.corpus import domain_bump_corpus
-    from dunkl_lab.domains import distance_data
 
     rng = np.random.default_rng(42)
     spec = DomainSpec("exterior_ball", 3, radius=1.0)
@@ -225,10 +222,41 @@ def test_domain_remainder_and_eps_checks(rs_a2, rule_a2):
         assert rep2.passed, rep2.entries
 
 
+@pytest.mark.parametrize("check", ["remainder", "eps"])
+def test_domain_extra_term_lowers_rhs(rs_a2, rule_a2, check):
+    """On the A2 exterior ball <rho, grad delta> = 2 gamma/r > 0 and
+    lap delta, lap_k delta > 0, so each check's extra term is negative and
+    its right-hand side lies strictly below the |u|^p/delta^p term alone."""
+    from dunkl_lab.corpus import domain_bump_corpus
+
+    spec = DomainSpec("exterior_ball", 3, radius=1.0)
+    data = distance_data(spec, rs_a2)
+    grid = RadialGrid((1.0, 1.5, 2.25, 3.0, 4.0), nodes_per_interval=40)
+    corpus = domain_bump_corpus(data, np.random.default_rng(42), 4, 4.0)
+    nbar = 3 + 2.0 * float(rs_a2.gamma)
+    eps = 0.7
+    for p in (2.0, nbar + 1.0):
+        if check == "remainder":
+            rep = hardy_remainder_check(rs_a2, corpus, spec, p, grid, rule_a2)
+            coef = ((p - 1.0) / p) ** p
+        else:
+            rep = hardy_eps_check(rs_a2, corpus, spec, p, eps, grid, rule_a2)
+            coef = (p - 1.0) * (eps ** (-p) - eps ** (-(p**2) / (p - 1.0)))
+        for (name, u), entry in zip(corpus, rep.entries):
+            t_p = integrate_measure(
+                rs_a2,
+                lambda X: np.abs(u.value(X)) ** p / data.delta(X) ** p,
+                grid,
+                rule_a2,
+            ).value
+            assert entry["rhs"] < coef * t_p, (name, p, entry)
+
+
 def test_degenerate_denominator_raises(rs_a2, rule_a2):
     from dunkl_lab.corpus import ball_bump
 
     grid = RadialGrid((0.0, 1.0, 2.0), nodes_per_interval=32)
     u = ball_bump([10.0, 10.0, 10.0], 0.5)  # supported outside the grid
+    spec = DomainSpec("punctured_space", 3)
     with pytest.raises(DegenerateInputError):
-        rellich_quotient(rs_a2, u, grid, rule_a2)
+        full_space_quotient(rs_a2, u, "rellich", spec, grid, rule_a2)
