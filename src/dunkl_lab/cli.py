@@ -333,6 +333,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"dunkl-lab: error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"dunkl-lab: internal arithmetic fault: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Exact multivariate polynomials over Q and the symbolic Dunkl calculus.
 
 Everything in this module is exact: coefficients are Fractions, reflections
-act by exact linear substitution, and divided differences are exact
-polynomial divisions.  A floating-point value anywhere in here is a bug.
+act on exponents and signs when sigma_alpha is a signed permutation (every
+built-in exact family: A, B, Z2, I2(1), I2(2), I2(4)) and by exact linear
+substitution otherwise, and divided differences are exact synthetic
+divisions by a linear form.  A floating-point value anywhere in here is a bug.
 
 The difference term of a Dunkl operator,
 k_alpha * alpha_i * (p - p o sigma_alpha)/<alpha, x>, is computed with the
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,43 +257,36 @@ def norm_squared(nvars: int) -> Polynomial:
 def _divide_by_linear(p: Polynomial, v) -> Polynomial:
     """Exact quotient p / <v, x>; raises ExactDivisionError on a remainder.
 
-    Pivot on one variable with v_j != 0 and solve the graded recurrence
-    a_d = v_j b_(d-1) + M b_d top-down, where M is the rest of the form.
+    Synthetic division pivoting on one variable x_j with v_j != 0: from the
+    highest power of x_j down, each term c x^e gives the quotient term
+    q = c / v_j at e - e_j, and q v_i is subtracted at e - e_j + e_i for
+    every other i with v_i != 0, one power of x_j lower.  Whatever is left
+    free of x_j is the remainder.
     """
     n = p.nvars
     j = next(i for i, c in enumerate(v) if c != 0)
     vj = _frac(v[j])
-    rest = Polynomial(
-        n,
-        {
-            tuple(1 if l == i else 0 for l in range(n)): _frac(v[i])
-            for i in range(n)
-            if i != j and v[i] != 0
-        },
-    )
-    # slice p by the exponent of x_j
-    slices: dict[int, dict] = {}
+    others = [(i, _frac(v[i])) for i in range(n) if i != j and v[i] != 0]
+    levels: dict[int, dict] = {}  # power of x_j -> {exponent: coefficient}
     for e, c in p.terms.items():
-        d = e[j]
-        e0 = e[:j] + (0,) + e[j + 1 :]
-        slices.setdefault(d, {})[e0] = c
-    if not slices:
-        return Polynomial(n)
-    D = max(slices)
-    a = {d: Polynomial(n, t) for d, t in slices.items()}
-    b: dict[int, Polynomial] = {}
-    prev = Polynomial(n)  # b_d for d above the current one
-    for d in range(D, 0, -1):
-        num = a.get(d, Polynomial(n)) - rest * prev
-        bd = Polynomial(n, {e: c / vj for e, c in num.terms.items()})
-        b[d - 1] = bd
-        prev = bd
-    if not (a.get(0, Polynomial(n)) - rest * prev).is_zero():
+        levels.setdefault(e[j], {})[e] = c
+    quotient: dict = {}
+    for d in range(max(levels, default=0), 0, -1):
+        level = {
+            e[:j] + (d - 1,) + e[j + 1 :]: c / vj
+            for e, c in levels.pop(d, {}).items()
+            if c
+        }
+        quotient.update(level)
+        below = levels.setdefault(d - 1, {})
+        for i, vi in others:
+            for e, q in level.items():
+                f = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                below[f] = below.get(f, 0) - vi * q
+    if any(levels.get(0, {}).values()):
         raise ExactDivisionError("polynomial is not divisible by the linear form")
-    out = Polynomial(n)
-    xj = variable(j, n)
-    for d, bd in b.items():
-        out = out + bd * xj**d
+    out = Polynomial.__new__(Polynomial)
+    out.nvars, out.terms = n, quotient
     return out
 
 
@@ -308,9 +305,53 @@ def _require_exact(rs: RootSystem):
             raise ValueError("symbolic Dunkl calculus needs rational multiplicities")
 
 
+class _SignedPermutation(NamedTuple):
+    """sigma_alpha x = (s_0 x_pi(0), ..., s_(N-1) x_pi(N-1)), s_i = +-1.
+
+    x^e o sigma_alpha = (prod of s_i^(e_i)) x^f with f_pi(i) = e_i; ``perm``
+    lists pi^-1, so f = (e_perm[0], ..., e_perm[N-1]), and ``flipped`` lists
+    the i with s_i = -1.
+    """
+
+    perm: tuple
+    flipped: tuple
+
+
+@lru_cache(maxsize=None)
+def _reflection_data(root: Root):
+    """The reflection of ``root`` as a _SignedPermutation when it is one,
+    otherwise its exact matrix; built once per root, on first use."""
+    m = reflection_matrix(root, exact=True)
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in m]
+    if not all(len(r) == 1 and abs(r[0][1]) == 1 for r in rows):
+        return m
+    inverse = [0] * len(rows)
+    for i, ((j, _),) in enumerate(rows):
+        inverse[j] = i
+    flipped = tuple(i for i, ((_, c),) in enumerate(rows) if c < 0)
+    return _SignedPermutation(tuple(inverse), flipped)
+
+
 def reflect_poly(p: Polynomial, root: Root) -> Polynomial:
-    """p o sigma_alpha by exact linear substitution."""
-    return p.compose_linear(reflection_matrix(root, exact=True))
+    """p o sigma_alpha, exactly.
+
+    When sigma_alpha is a signed permutation each term maps in O(N): its
+    exponents are permuted and its coefficient changes sign when the
+    flipped axes carry an odd total power.  Any other rational root (e.g.
+    direction (1, 2) from a JSON root system) falls back to linear
+    substitution through the exact reflection matrix.
+    """
+    data = _reflection_data(root)
+    if not isinstance(data, _SignedPermutation):
+        return p.compose_linear(data)
+    perm, flipped = data
+    terms = {}
+    for e, c in p.terms.items():
+        odd = sum(e[i] for i in flipped) & 1
+        terms[tuple(e[i] for i in perm)] = -c if odd else c
+    out = Polynomial.__new__(Polynomial)
+    out.nvars, out.terms = p.nvars, terms
+    return out
 
 
 def divided_difference(p: Polynomial, root: Root) -> Polynomial:

@@ -108,3 +108,13 @@ def test_fourth_order_needs_large_nbar(tmp_path):
     for suite in ("hardy-rellich", "hardy"):
         assert _run(["verify", suite, "--family", "Z2", "--rank", "2",
                      "--k", "0", "--out", str(tmp_path / suite)]) == 2
+
+
+def test_internal_fault_exits_3(tmp_path, capsys):
+    # at p = 200 the quadrature quotient of hardy_p is NaN; the closed-form
+    # cross-check must reject it as an internal fault, not pass or fail it
+    with pytest.warns(RuntimeWarning):
+        code = _run(["verify", "hardy", "--family", "A", "--rank", "2",
+                     "--k", "1", "--p", "200", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "internal arithmetic fault" in capsys.readouterr().err

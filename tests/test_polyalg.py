@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from dunkl_lab.polyalg import (
     ExactDivisionError,
     Polynomial,
+    _divide_by_linear,
+    _reflection_data,
+    _SignedPermutation,
     commutativity_check,
     constant,
     divided_difference,
@@ -23,7 +26,17 @@ from dunkl_lab.polyalg import (
     reflect_poly,
     variable,
 )
-from dunkl_lab.reflection import build_root_system
+from dunkl_lab.reflection import Root, build_root_system, reflection_matrix
+
+# every positive root of the built-in exact families (signed permutations)
+# and two rational roots whose reflections are not signed permutations
+SIGNED_ROOTS = [
+    root
+    for family, rank in (("A", 3), ("B", 3), ("Z2", 3), ("I2", 4))
+    for root in build_root_system(family, rank, 1).positive_roots
+]
+CUSTOM_ROOTS = [Root((Fraction(1), Fraction(2))), Root((Fraction(1),) * 3)]
+ALL_ROOTS = SIGNED_ROOTS + CUSTOM_ROOTS
 
 
 def _linear_form(root, N):
@@ -76,8 +89,6 @@ def test_division_remainder_raises():
     x, y = variable(0, 2), variable(1, 2)
     rs = build_root_system("Z2", 2, [1, 0])
     # x*y + 1 is not antisymmetric under x -> -x, so no exact quotient exists
-    from dunkl_lab.polyalg import _divide_by_linear
-
     with pytest.raises(ExactDivisionError):
         _divide_by_linear(x * y + constant(2, Fraction(1)),
                           rs.positive_roots[0].direction)
@@ -164,3 +175,37 @@ def test_dunkl_lowers_degree(rs_a2):
     p = norm_squared(3) * variable(0, 3)
     out = dunkl_apply(rs_a2, 0, p)
     assert out.degree() == p.degree() - 1
+
+
+@pytest.mark.parametrize("root", ALL_ROOTS, ids=repr)
+def test_reflect_poly_matches_linear_substitution(root, rng):
+    signed = isinstance(_reflection_data(root), _SignedPermutation)
+    assert signed == (root not in CUSTOM_ROOTS)
+    matrix = reflection_matrix(root, exact=True)
+    for _ in range(3):
+        p = _random_poly(rng, root.dim, 4)
+        assert reflect_poly(p, root) == p.compose_linear(matrix)
+
+
+_exponent = st.integers(0, 3)
+_coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@pytest.mark.parametrize("root", ALL_ROOTS, ids=repr)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_divide_by_linear_round_trip(root, data):
+    N = root.dim
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[_exponent] * N), _coefficient, max_size=6))
+    q = Polynomial(N, terms)
+    assert _divide_by_linear(_linear_form(root, N) * q, root.direction) == q
+
+
+@pytest.mark.parametrize("root", CUSTOM_ROOTS, ids=repr)
+def test_divided_difference_on_custom_roots(root, rng):
+    for _ in range(3):
+        p = _random_poly(rng, root.dim, 4)
+        q = divided_difference(p, root)
+        assert (_linear_form(root, root.dim) * q
+                - (p - reflect_poly(p, root))).is_zero()
