@@ -7,7 +7,8 @@ Usage:
                      [--out dir]
 
 Suites: identities, harmonics, hardy, hardy-rellich, all.  Exit code 0 iff
-every verdict passed, 1 on any failure, 2 on a usage error.
+every verdict passed, 1 on any failed verdict, 2 on a usage error, 3 on an
+internal arithmetic fault.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 _PROBE_RNG_SEED = 20240517
+_PROBE_STEP = 1e-5  # central-difference step of the registration check
 
 
 @dataclass
@@ -40,7 +41,6 @@ class SmoothFunction:
     radial: bool = False
     dimension: int | None = None
     check: bool = field(default=True, repr=False)
-    probe_scale: float = field(default=1.0, repr=False)
 
     def __post_init__(self):
         if self.check:
@@ -48,18 +48,21 @@ class SmoothFunction:
                 raise ValueError("gradient check requires the dimension")
             self._check_gradient()
 
+    def __call__(self, X):
+        """Values at an (M, N) batch, so it serves as a plain function."""
+        return self.value(X)
+
     def _check_gradient(self):
         rng = np.random.default_rng(_PROBE_RNG_SEED)
-        X = rng.uniform(-1.0, 1.0, size=(4, self.dimension)) * self.probe_scale
+        X = rng.uniform(-1.0, 1.0, size=(4, self.dimension))
         g = np.asarray(self.gradient(X), dtype=float)
-        h = 1e-5 * self.probe_scale
         fd = np.empty_like(g)
         for j in range(self.dimension):
             e = np.zeros(self.dimension)
-            e[j] = h
+            e[j] = _PROBE_STEP
             fd[:, j] = (
                 np.asarray(self.value(X + e)) - np.asarray(self.value(X - e))
-            ) / (2.0 * h)
+            ) / (2.0 * _PROBE_STEP)
         scale = np.max(np.abs(g)) + 1.0
         if np.max(np.abs(g - fd)) > 1e-5 * scale:
             raise ValueError(

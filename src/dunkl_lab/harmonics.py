@@ -1,6 +1,8 @@
 """Spherical h-harmonics: exact kernel bases of the Dunkl Laplacian on
 homogeneous polynomials, orthonormalized on the weighted sphere, plus
 spectral expansion, Parseval, and the mean-projection identities.
+Functions u are callables on (M, N) batches of points; the sphere and
+polar grids come from ``quad``.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from .quad import (
     RadialGrid,
     SphericalRule,
     integrate_measure,
-    jitter_off_hyperplanes,
+    polar_values,
     radial_nodes,
-    sphere_weight_integral,
+    weighted_sphere,
 )
-from .reflection import RootSystem, reflect, weight
+from .reflection import RootSystem, reflect
 
 __all__ = [
     "HHarmonicBasis",
@@ -160,9 +162,8 @@ def build_basis(rs: RootSystem, n: int, rule: SphericalRule) -> HHarmonicBasis:
     """Exact kernel basis orthonormalized against the weighted sphere rule."""
     polys = kernel_basis(rs, n)
     d = len(polys)
-    rule = jitter_off_hyperplanes(rule, rs)
-    wsph = rule.weights * weight(rs, rule.nodes)
-    vals = np.array([p.evaluate(rule.nodes) for p in polys])
+    nodes, wsph = weighted_sphere(rs, rule)
+    vals = np.array([p.evaluate(nodes) for p in polys])
     gram0 = (vals * wsph) @ vals.T
     cond = float(np.linalg.cond(gram0))
     # modified Gram-Schmidt in the weighted inner product, two passes
@@ -217,12 +218,6 @@ class SpectralCoefficients:
         return CubicSpline(self.radii, self.tables[(n, i)])
 
 
-def _grid_values(u, r, xi, N):
-    X = (r[:, None, None] * xi[None, :, :]).reshape(-1, N)
-    f = u.value if hasattr(u, "value") else u
-    return np.asarray(f(X), dtype=float).reshape(len(r), len(xi))
-
-
 def expand(
     rs: RootSystem, u, bases, grid: RadialGrid, rule: SphericalRule
 ) -> SpectralCoefficients:
@@ -230,13 +225,12 @@ def expand(
     for b in bases:
         if not b.orthonormalized:
             raise ValueError("expansion requires orthonormal bases")
-    rule = jitter_off_hyperplanes(rule, rs)
-    wsph = rule.weights * weight(rs, rule.nodes)
+    nodes, wsph = weighted_sphere(rs, rule)
     r, wr = radial_nodes(grid)
-    U = _grid_values(u, r, rule.nodes, rs.dimension)
+    U = polar_values(u, r, nodes)
     tables = {}
     for b in bases:
-        Y = b.evaluate(rule.nodes)
+        Y = b.evaluate(nodes)
         coeffs = U @ (Y * wsph).T  # (Mr, d)
         for i in range(b.dimension):
             tables[(b.degree, i)] = coeffs[:, i]
@@ -260,17 +254,11 @@ def parseval_residual(
 ) -> float:
     """Relative gap between int u^2 dmu and the summed squared radial
     coefficients against r^(nbar-1) dr."""
-    f = u.value if hasattr(u, "value") else u
-    total_sq = integrate_measure(rs, lambda X: np.asarray(f(X)) ** 2, grid, rule).value
+    total_sq = integrate_measure(rs, lambda X: np.asarray(u(X)) ** 2, grid, rule).value
     nbar = rs.dimension + 2.0 * rs.gamma
     wpow = coeffs.radial_weights * coeffs.radii ** (nbar - 1.0)
     mode_sum = sum(float(np.sum(wpow * c**2)) for c in coeffs.tables.values())
     return abs(total_sq - mode_sum) / (abs(total_sq) + 1e-300)
-
-
-def _sphere_mean(rs, u, r, rule, wsph, sk):
-    U = _grid_values(u, r, rule.nodes, rs.dimension)
-    return (U @ wsph) / sk
 
 
 def mean_projection_invariance(
@@ -278,17 +266,17 @@ def mean_projection_invariance(
 ) -> float:
     """Max over positive roots of sup_r |mean(u o sigma)(r) - mean(u)(r)|,
     means taken against omega_k dnu / S_k."""
-    rule = jitter_off_hyperplanes(rule, rs)
-    wsph = rule.weights * weight(rs, rule.nodes)
+    nodes, wsph = weighted_sphere(rs, rule)
     sk = float(np.sum(wsph))
     r, _ = radial_nodes(grid)
-    base = _sphere_mean(rs, u, r, rule, wsph, sk)
-    f = u.value if hasattr(u, "value") else u
+
+    def mean(f):
+        return (polar_values(f, r, nodes) @ wsph) / sk
+
+    base = mean(u)
     worst = 0.0
     for root in rs.positive_roots:
-        refl = _sphere_mean(
-            rs, lambda X, rt=root: f(reflect(rt, X)), r, rule, wsph, sk
-        )
+        refl = mean(lambda X, rt=root: u(reflect(rt, X)))
         worst = max(worst, float(np.max(np.abs(refl - base))))
     return worst
 
@@ -307,22 +295,18 @@ def cross_term_bound_check(
     """Per positive root alpha, check
     int (u - u o sigma_alpha) u / |x|^4 dmu <= 2 int (u - mean u)^2 / |x|^4 dmu.
     The corpus must vanish near the origin so both sides converge."""
-    rule = jitter_off_hyperplanes(rule, rs)
-    wsph = rule.weights * weight(rs, rule.nodes)
+    nodes, wsph = weighted_sphere(rs, rule)
     sk = float(np.sum(wsph))
     exponent = rs.dimension + 2.0 * rs.gamma - 1.0
     r, wr = radial_nodes(grid)
-    U = _grid_values(u, r, rule.nodes, rs.dimension)
+    U = polar_values(u, r, nodes)
     mean = (U @ wsph) / sk
     wrad = wr * r ** (exponent - 4.0)
     rhs = 2.0 * float(wrad @ ((U - mean[:, None]) ** 2 @ wsph))
-    f = u.value if hasattr(u, "value") else u
     entries = []
     ok = True
     for idx, root in enumerate(rs.positive_roots):
-        Us = _grid_values(
-            lambda X, rt=root: f(reflect(rt, X)), r, rule.nodes, rs.dimension
-        )
+        Us = polar_values(lambda X, rt=root: u(reflect(rt, X)), r, nodes)
         lhs = float(wrad @ (((U - Us) * U) @ wsph))
         entries.append((idx, lhs, rhs))
         ok = ok and lhs <= rhs + tolerance * (abs(rhs) + 1.0)

@@ -62,6 +62,7 @@ __all__ = [
 
 DEFAULT_EPSILONS = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 ORACLE_AGREEMENT_RTOL = 1e-6
+DOMAIN_RTOL = 1e-6  # domain checks: relative slack on top of quad error
 
 
 class OracleMismatchError(ArithmeticError):
@@ -105,7 +106,7 @@ class Functional:
     """One inequality: num >= constant * den over its admissible range."""
 
     constant: Callable  # (nbar, p) -> sharp constant
-    extremizer: Callable  # (nbar, eps, p, h) -> PiecewiseProfile
+    extremizer: Callable  # (nbar, eps, p) -> PiecewiseProfile
     rule: str  # the admissibility rule, as stated in errors
     admissible: Callable  # (nbar, p) -> bool
     mollified: bool  # C^2-joined extremizer: 2% tolerance, 1e-5 slack
@@ -120,7 +121,7 @@ class Functional:
 FUNCTIONALS = {
     "hardy_p": Functional(
         constant=lambda nbar, p: ((p - nbar) / p) ** p,
-        extremizer=lambda nbar, eps, p, h: hardy_p_profile(p, nbar, eps),
+        extremizer=lambda nbar, eps, p: hardy_p_profile(p, nbar, eps),
         rule="p > nbar",
         admissible=lambda nbar, p: p > nbar,
         mollified=False,
@@ -129,7 +130,7 @@ FUNCTIONALS = {
     ),
     "hardy_2": Functional(
         constant=lambda nbar, p: ((nbar - 2.0) / 2.0) ** 2,
-        extremizer=lambda nbar, eps, p, h: step_power_profile(
+        extremizer=lambda nbar, eps, p: step_power_profile(
             -(nbar - 2.0 + eps) / 2.0
         ),
         rule="nbar > 2",
@@ -140,8 +141,8 @@ FUNCTIONALS = {
     ),
     "rellich": Functional(
         constant=lambda nbar, p: nbar**2 * (nbar - 4.0) ** 2 / 16.0,
-        extremizer=lambda nbar, eps, p, h: mollified_power_profile(
-            -(nbar - 4.0 + eps) / 2.0, h
+        extremizer=lambda nbar, eps, p: mollified_power_profile(
+            -(nbar - 4.0 + eps) / 2.0
         ),
         rule="nbar > 4",
         admissible=lambda nbar, p: nbar > 4.0,
@@ -151,8 +152,8 @@ FUNCTIONALS = {
     ),
     "weighted_hr": Functional(
         constant=lambda nbar, p: (nbar - 2.0) ** 2 / 4.0,
-        extremizer=lambda nbar, eps, p, h: mollified_power_profile(
-            -(nbar - 2.0 + eps) / 2.0, h
+        extremizer=lambda nbar, eps, p: mollified_power_profile(
+            -(nbar - 2.0 + eps) / 2.0
         ),
         rule="nbar > 2",
         admissible=lambda nbar, p: nbar > 2.0,
@@ -162,8 +163,8 @@ FUNCTIONALS = {
     ),
     "hardy_rellich": Functional(
         constant=lambda nbar, p: nbar**2 / 4.0,
-        extremizer=lambda nbar, eps, p, h: mollified_power_profile(
-            -(nbar - 4.0 + eps) / 2.0, h
+        extremizer=lambda nbar, eps, p: mollified_power_profile(
+            -(nbar - 4.0 + eps) / 2.0
         ),
         rule="nbar > 4",
         admissible=lambda nbar, p: nbar > 4.0,
@@ -186,10 +187,10 @@ def sharp_constant(kind: str, nbar: float, p: float | None = None) -> float:
 
 
 def build_extremizer(
-    kind: str, nbar: float, eps: float, p: float | None = None, h: float = 0.25
+    kind: str, nbar: float, eps: float, p: float | None = None
 ) -> PiecewiseProfile:
     """Near-extremal radial profile for the given functional at this eps."""
-    return _functional(kind).extremizer(nbar, eps, p, h)
+    return _functional(kind).extremizer(nbar, eps, p)
 
 
 def _closed_form(prof: PiecewiseProfile, term: Term, nbar: float, p) -> float:
@@ -203,12 +204,12 @@ def _closed_form(prof: PiecewiseProfile, term: Term, nbar: float, p) -> float:
 
 
 def oracle_quotient(
-    kind: str, nbar: float, eps: float, p: float | None = None, h: float = 0.25
+    kind: str, nbar: float, eps: float, p: float | None = None
 ) -> float:
     """Rayleigh quotient from closed-form power integrals (spherical factors
     cancel for radial profiles, so everything is one-dimensional)."""
     f = _functional(kind)
-    prof = f.extremizer(nbar, eps, p, h)
+    prof = f.extremizer(nbar, eps, p)
     return _closed_form(prof, f.num, nbar, p) / _closed_form(prof, f.den, nbar, p)
 
 
@@ -218,9 +219,7 @@ def _quadrature(prof, term: Term, nbar: float, eps: float, p, nodes: int):
     ends = {None: None, "weight": exponent}
     head = dict(ends, eps=eps - 1.0)[term.head]
     tail = dict(ends, eps=-1.0 - eps)[term.tail]
-    grid = RadialGrid(
-        prof.breakpoints, nodes, "none" if tail is None else "substitution"
-    )
+    grid = RadialGrid(prof.breakpoints, nodes)
     field = {
         "value": prof.value,
         "grad": prof.deriv,
@@ -236,13 +235,12 @@ def quadrature_quotient(
     nbar: float,
     eps: float,
     p: float | None = None,
-    h: float = 0.25,
     nodes: int = 48,
 ) -> float:
     """Same quotient, evaluating the profile pointwise under weighted
     Gauss rules (Jacobi rules absorb the r^(eps-1) head and tail)."""
     f = _functional(kind)
-    prof = f.extremizer(nbar, eps, p, h)
+    prof = f.extremizer(nbar, eps, p)
     return _quadrature(prof, f.num, nbar, eps, p, nodes) / _quadrature(
         prof, f.den, nbar, eps, p, nodes
     )
@@ -297,7 +295,6 @@ def sharpness_sweep(
     p: float | None = None,
     epsilons=DEFAULT_EPSILONS,
     tolerance: float | None = None,
-    h: float = 0.25,
     nodes: int = 48,
 ) -> RayleighSweep:
     """Run the extremizer sweep for one functional and verdict on the limit.
@@ -326,8 +323,8 @@ def sharpness_sweep(
     q_oracle, q_quad = [], []
     agreement = 0.0
     for eps in epsilons:
-        qo = oracle_quotient(kind, nbar, eps, p, h)
-        qq = quadrature_quotient(kind, nbar, eps, p, h, nodes)
+        qo = oracle_quotient(kind, nbar, eps, p)
+        qq = quadrature_quotient(kind, nbar, eps, p, nodes)
         rel = abs(qo - qq) / abs(qo)
         agreement = float(np.maximum(agreement, rel))  # keeps a NaN
         if eps >= 1e-3 and not rel <= ORACLE_AGREEMENT_RTOL:  # fails on NaN
@@ -581,8 +578,8 @@ class VerificationReport:
     passed: bool
 
 
-def _domain_check(rs, functions, dd, p, grid, rule, base_tolerance, a, b,
-                  extra, check_id) -> VerificationReport:
+def _domain_check(rs, functions, dd, p, grid, rule, a, b, extra,
+                  check_id) -> VerificationReport:
     """int |grad_k u|^p >= a T_p + b T_x for each (name, u) in ``functions``,
     with T_p = int |u|^p/delta^p and T_x = int extra(x) |u|^p/delta^(p-1);
     the quadrature's own error estimates widen the tolerance."""
@@ -607,7 +604,7 @@ def _domain_check(rs, functions, dd, p, grid, rule, base_tolerance, a, b,
             + abs(a) * t_p.estimated_error
             + abs(b) * t_x.estimated_error
         )
-        tol = base_tolerance * (abs(rhs) + 1.0) + quad_err
+        tol = DOMAIN_RTOL * (abs(rhs) + 1.0) + quad_err
         margin = lhs.value - rhs
         passed = margin >= -tol
         ok = ok and passed
@@ -615,7 +612,7 @@ def _domain_check(rs, functions, dd, p, grid, rule, base_tolerance, a, b,
             {"name": name, "lhs": lhs.value, "rhs": rhs, "margin": margin,
              "tolerance": tol, "passed": passed}
         )
-    return VerificationReport(check_id, base_tolerance, entries, ok)
+    return VerificationReport(check_id, DOMAIN_RTOL, entries, ok)
 
 
 def hardy_remainder_check(
@@ -625,7 +622,6 @@ def hardy_remainder_check(
     p: float,
     grid: RadialGrid,
     rule: SphericalRule,
-    base_tolerance: float = 1e-6,
 ) -> VerificationReport:
     """Distance-function Hardy inequality with its first-order remainder:
 
@@ -647,7 +643,7 @@ def hardy_remainder_check(
         )
 
     return _domain_check(
-        rs, functions, dd, p, grid, rule, base_tolerance,
+        rs, functions, dd, p, grid, rule,
         ((p - 1.0) / p) ** p, ((p - 1.0) / p) ** (p - 1.0), bracket,
         f"hardy_remainder[{domain.kind},p={p}]",
     )
@@ -661,7 +657,6 @@ def hardy_eps_check(
     eps: float,
     grid: RadialGrid,
     rule: SphericalRule,
-    base_tolerance: float = 1e-6,
 ) -> VerificationReport:
     """Parameterized Hardy inequality
 
@@ -672,7 +667,7 @@ def hardy_eps_check(
     """
     dd = distance_data(domain, rs)
     return _domain_check(
-        rs, functions, dd, p, grid, rule, base_tolerance,
+        rs, functions, dd, p, grid, rule,
         (p - 1.0) * (eps ** (-p) - eps ** (-(p**2) / (p - 1.0))), -(eps ** (-p)),
         dd.dunkl_laplacian_delta,
         f"hardy_eps[{domain.kind},p={p},eps={eps}]",

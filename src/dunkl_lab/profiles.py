@@ -4,8 +4,8 @@ A profile is a list of pieces, each either a pure power c*r^a or a polynomial
 (the smooth join).  Pure-power pieces admit closed-form weighted integrals,
 including the improper head at 0 and tail at infinity whose 1/eps growth
 carries the sharpness information; polynomial pieces live on a fixed finite
-interval and are integrated with a high-order Gauss rule, which is exact to
-machine precision for these smooth integrands.
+interval and are integrated with ``quad``'s 80-point Gauss-Legendre rule,
+which is exact to machine precision for these smooth integrands.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import inf
 
 import numpy as np
 
-from .quad import DivergenceError
+from .quad import DivergenceError, legendre_integral
 
 __all__ = [
     "PowerPiece",
@@ -29,7 +29,7 @@ __all__ = [
     "mollified_power_profile",
 ]
 
-_GL_POINTS = 80
+_GL_POINTS = 80  # Gauss-Legendre points per finite piece
 
 
 @dataclass(frozen=True)
@@ -166,16 +166,14 @@ class PiecewiseProfile:
             return _power_integral(
                 abs(base) ** p, shift * p + exponent, piece.lo, piece.hi
             )
-        x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
-        r = (piece.lo + piece.hi) / 2.0 + (piece.hi - piece.lo) / 2.0 * x
-        if kind == "value":
-            f = piece.value(r)
-        elif kind == "deriv":
-            f = piece.deriv(r)
-        else:
-            f = piece.deriv2(r) + (nbar - 1.0) * piece.deriv(r) / r
-        vals = np.abs(f) ** p * r**exponent
-        return (piece.hi - piece.lo) / 2.0 * float(np.sum(w * vals))
+        field = {
+            "value": piece.value,
+            "deriv": piece.deriv,
+            "laplacian": lambda r: piece.deriv2(r) + (nbar - 1.0) * piece.deriv(r) / r,
+        }[kind]
+        return legendre_integral(
+            lambda r: np.abs(field(r)) ** p, exponent, piece.lo, piece.hi, _GL_POINTS
+        )
 
     def integral_value_power(self, p: float, exponent: float) -> float:
         """int |u|^p r^exponent dr in closed form."""
@@ -209,17 +207,13 @@ def integrate_profile_expression(prof: PiecewiseProfile, term, exponent: float) 
     For compactly supported profiles (zero-coefficient power pieces at both
     ends) this covers the whole line; infinite nonzero pieces are rejected.
     """
-    x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
     total = 0.0
     for piece in prof.pieces:
         if _is_zero_piece(piece):
             continue
         if piece.hi == inf:
             raise ValueError("expression integrals need compact support")
-        r = (piece.lo + piece.hi) / 2.0 + (piece.hi - piece.lo) / 2.0 * x
-        total += (piece.hi - piece.lo) / 2.0 * float(
-            np.sum(w * np.asarray(term(r)) * r**exponent)
-        )
+        total += legendre_integral(term, exponent, piece.lo, piece.hi, _GL_POINTS)
     return total
 
 

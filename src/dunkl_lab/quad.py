@@ -1,5 +1,8 @@
 """Quadrature for the reflection-weighted measure.
 
+Every quadrature rule of the package is built here: the cached Gauss rules,
+the sphere rules and the omega_k-weighted polar grid.
+
 The measure is d(mu) = omega_k(x) dx, realized in polar form as
 r^(N + 2*gamma - 1) * omega_k(xi) dr dnu(xi) with nu the surface measure on
 the unit sphere.  Radial integration handles the two improper ends that the
@@ -28,8 +31,11 @@ __all__ = [
     "sphere_surface",
     "sphere_rule",
     "jitter_off_hyperplanes",
+    "weighted_sphere",
+    "polar_values",
     "sphere_weight_integral",
     "radial_nodes",
+    "legendre_integral",
     "integrate_radial",
     "integrate_measure",
     "integration_by_parts_residual",
@@ -53,15 +59,11 @@ class SphericalRule:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Breakpoints tile [0, R_max]; beyond R_max a tail mode may apply.
-
-    tail_mode: "none" (truncate) or "substitution" (r = R/t with a
-    Gauss-Jacobi rule matched to the decay).
-    """
+    """Breakpoints tile [0, R_max]; ``integrate_radial`` adds the tail
+    beyond R_max when it is given the tail decay exponent."""
 
     breakpoints: tuple
     nodes_per_interval: int = 64
-    tail_mode: str = "none"
 
     def __post_init__(self):
         b = self.breakpoints
@@ -69,8 +71,6 @@ class RadialGrid:
             raise ValueError("breakpoints must be strictly increasing")
         if self.nodes_per_interval < 8:
             raise ValueError("need at least 8 nodes per interval")
-        if self.tail_mode not in ("none", "substitution"):
-            raise ValueError(f"unknown tail mode {self.tail_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,19 @@ def sphere_surface(N: int) -> float:
 @lru_cache(maxsize=None)
 def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
+
+
+def _legendre_panel(n: int, a: float, b: float):
+    """Gauss-Legendre nodes on [a, b], weights on [-1, 1], and (b - a)/2."""
+    x, w = _leggauss(n)
+    half = (b - a) / 2.0
+    return (a + b) / 2.0 + half * x, w, half
+
+
+def legendre_integral(g, exponent: float, a: float, b: float, n: int) -> float:
+    """int_a^b g(r) r^exponent dr by the n-point Gauss-Legendre rule."""
+    r, w, half = _legendre_panel(n, a, b)
+    return half * float(np.sum(w * (np.asarray(g(r), dtype=float) * r**exponent)))
 
 
 @lru_cache(maxsize=None)
@@ -156,6 +169,21 @@ def jitter_off_hyperplanes(rule: SphericalRule, rs: RootSystem) -> SphericalRule
     return SphericalRule(rule.dimension, rule.order, nodes, rule.weights)
 
 
+def weighted_sphere(rs: RootSystem, rule: SphericalRule):
+    """The rule's nodes moved off the reflection hyperplanes, and its weights
+    times omega_k at those nodes: the sphere factor of d(mu)."""
+    if rule.dimension != rs.dimension:
+        raise ValueError("spherical rule dimension mismatches the root system")
+    rule = jitter_off_hyperplanes(rule, rs)
+    return rule.nodes, rule.weights * weight(rs, rule.nodes)
+
+
+def polar_values(f, r, nodes) -> np.ndarray:
+    """f at the points r_i * xi_j, as an array of shape (len(r), len(nodes))."""
+    X = (r[:, None, None] * nodes[None, :, :]).reshape(-1, nodes.shape[1])
+    return np.asarray(f(X), dtype=float).reshape(len(r), len(nodes))
+
+
 def sphere_weight_integral(rs: RootSystem, rule: SphericalRule) -> float:
     """S_k = integral of omega_k over the unit sphere."""
     return float(np.sum(rule.weights * weight(rs, rule.nodes)))
@@ -169,20 +197,17 @@ def radial_nodes(grid: RadialGrid, n: int | None = None):
     """Plain composite Gauss nodes/weights for the finite part [0, R_max]."""
     if n is None:
         n = grid.nodes_per_interval
-    x, w = _leggauss(n)
-    rs, ws = [], []
-    for a, b in zip(grid.breakpoints[:-1], grid.breakpoints[1:]):
-        rs.append((a + b) / 2.0 + (b - a) / 2.0 * x)
-        ws.append((b - a) / 2.0 * w)
-    return np.concatenate(rs), np.concatenate(ws)
+    bps = grid.breakpoints
+    panels = [_legendre_panel(n, a, b) for a, b in zip(bps[:-1], bps[1:])]
+    return (np.concatenate([r for r, _, _ in panels]),
+            np.concatenate([half * w for _, w, half in panels]))
 
 
 def _radial_value(g, exponent, grid, head_power, tail_power, n):
     total = 0.0
     bps = grid.breakpoints
-    first = True
     for a, b in zip(bps[:-1], bps[1:]):
-        if first and a == 0.0 and head_power is not None:
+        if a == bps[0] == 0.0 and head_power is not None:
             if head_power <= -1.0:
                 raise DivergenceError("head exponent <= -1 is not integrable")
             # integral of r^hp * [g(r) r^(exponent-hp)] with the power as weight
@@ -191,14 +216,8 @@ def _radial_value(g, exponent, grid, head_power, tail_power, n):
             phi = np.asarray(g(r), dtype=float) * r ** (exponent - head_power)
             total += (b / 2.0) ** (head_power + 1.0) * float(np.sum(w * phi))
         else:
-            x, w = _leggauss(n)
-            r = (a + b) / 2.0 + (b - a) / 2.0 * x
-            vals = np.asarray(g(r), dtype=float) * r**exponent
-            total += (b - a) / 2.0 * float(np.sum(w * vals))
-        first = False
-    if grid.tail_mode != "none":
-        if tail_power is None:
-            raise ValueError("tail mode requires the tail decay exponent")
+            total += legendre_integral(g, exponent, a, b, n)
+    if tail_power is not None:
         if tail_power >= -1.0:
             raise DivergenceError("tail exponent >= -1 diverges")
         R = bps[-1]
@@ -219,11 +238,14 @@ def integrate_radial(
     head_power: float | None = None,
     tail_power: float | None = None,
 ) -> WeightedIntegral:
-    """Integral of g(r) r^exponent dr over [0, R_max] plus the grid's tail.
+    """Integral of g(r) r^exponent dr over [0, R_max], plus the tail beyond
+    R_max when ``tail_power`` is given.
 
     ``head_power`` / ``tail_power`` give the combined power behavior of
     g(r) r^exponent at the respective end; the head power switches the first
-    interval to a Gauss-Jacobi rule with that weight.
+    interval to a Gauss-Jacobi rule with that weight, and the tail power
+    adds the tail by the substitution r = R_max/t under a Gauss-Jacobi rule
+    matched to the decay.
     """
     n = grid.nodes_per_interval
     v = _radial_value(g, exponent, grid, head_power, tail_power, n)
@@ -235,16 +257,6 @@ def integrate_radial(
 # measure integration over R^N
 
 
-def _measure_sum(rs, f, r, wr, rule_nodes, wsph, exponent):
-    X = (r[:, None, None] * rule_nodes[None, :, :]).reshape(-1, rs.dimension)
-    vals = np.asarray(f(X), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = X[np.argmax(~np.isfinite(vals))]
-        raise ValueError(f"integrand not finite at node {bad}")
-    vals = vals.reshape(len(r), len(rule_nodes))
-    return float((wr * r**exponent) @ vals @ wsph)
-
-
 def integrate_measure(
     rs: RootSystem, f, grid: RadialGrid, rule: SphericalRule
 ) -> WeightedIntegral:
@@ -252,15 +264,19 @@ def integrate_measure(
 
     f must accept an (M, N) array of points and return (M,) values.
     """
-    if rule.dimension != rs.dimension:
-        raise ValueError("spherical rule dimension mismatches the root system")
-    rule = jitter_off_hyperplanes(rule, rs)
-    wsph = rule.weights * weight(rs, rule.nodes)
+    nodes, wsph = weighted_sphere(rs, rule)
     exponent = rs.dimension + 2.0 * rs.gamma - 1.0
-    r, wr = radial_nodes(grid)
-    v = _measure_sum(rs, f, r, wr, rule.nodes, wsph, exponent)
-    r2, wr2 = radial_nodes(grid, max(grid.nodes_per_interval // 2, 8))
-    v2 = _measure_sum(rs, f, r2, wr2, rule.nodes, wsph, exponent)
+
+    def total(n):
+        r, wr = radial_nodes(grid, n)
+        vals = polar_values(f, r, nodes)
+        if not np.all(np.isfinite(vals)):
+            i, j = np.argwhere(~np.isfinite(vals))[0]
+            raise ValueError(f"integrand not finite at node {r[i] * nodes[j]}")
+        return float((wr * r**exponent) @ vals @ wsph)
+
+    v = total(grid.nodes_per_interval)
+    v2 = total(max(grid.nodes_per_interval // 2, 8))
     return WeightedIntegral(v, abs(v - v2))
 
 

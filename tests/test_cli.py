@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from dunkl_lab import polyalg
 from dunkl_lab.cli import main
 
 CSV_HEADER = ["epsilon", "quotient_oracle", "quotient_quadrature", "target",
@@ -21,6 +22,19 @@ def test_identities_suite_passes(tmp_path):
     assert doc["suite"] == "identities"
     assert doc["pass"] is True
     assert doc["details"] and all(d["passed"] for d in doc["details"])
+
+
+def test_disagreeing_laplacian_routes_fail_the_identities_suite(tmp_path,
+                                                               monkeypatch):
+    fast = polyalg.dunkl_laplacian_fast
+    monkeypatch.setattr(polyalg, "dunkl_laplacian_fast",
+                        lambda rs, p: fast(rs, p) + polyalg.constant(2, 1))
+    out = tmp_path / "o"
+    assert _run(["verify", "identities", "--family", "B", "--rank", "2",
+                 "--out", str(out)]) == 1
+    doc = json.loads((out / "summary.json").read_text())
+    failed = {d["check"].split("/")[0] for d in doc["details"] if not d["passed"]}
+    assert doc["pass"] is False and failed == {"laplacian_routes"}
 
 
 def test_hardy_suite_csv_schema(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl_lab import polyalg
 from dunkl_lab.polyalg import (
     ExactDivisionError,
     Polynomial,
@@ -15,6 +16,7 @@ from dunkl_lab.polyalg import (
     constant,
     divided_difference,
     dunkl_apply,
+    identity_checks,
     dunkl_laplacian_fast,
     dunkl_laplacian_sym,
     is_invariant,
@@ -114,6 +116,20 @@ def test_laplacian_formulas_agree(rs_a2, rs_b2, rs_z23, rng):
     for rs in (rs_a2, rs_b2, rs_z23):
         p = _random_poly(rng, rs.dimension, 4)
         assert dunkl_laplacian_sym(rs, p) == dunkl_laplacian_fast(rs, p)
+
+
+def test_identity_checks_report_disagreeing_laplacian_routes(rs_a2, monkeypatch):
+    # a fast Laplacian off by one term is a failed verdict, not an exception
+    fast = polyalg.dunkl_laplacian_fast
+    monkeypatch.setattr(
+        polyalg, "dunkl_laplacian_fast", lambda rs, p: fast(rs, p) + constant(3, 1)
+    )
+    x, y, z = (variable(i, 3) for i in range(3))
+    entries = identity_checks(rs_a2, [x**2 * y, y * z**3 + x])
+    assert {name for name, ok, _ in entries if not ok} == {
+        "laplacian_routes/0", "laplacian_routes/1"
+    }
+    assert all(res == 1.0 for name, ok, res in entries if not ok)
 
 
 def test_laplacian_of_norm_squared(rs_b2):

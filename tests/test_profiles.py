@@ -14,6 +14,8 @@ from dunkl_lab.profiles import (
     profile_times_power,
     step_power_profile,
 )
+from dunkl_lab import quad as dl_quad
+from dunkl_lab.inequalities import oracle_quotient
 from dunkl_lab.quad import DivergenceError
 
 
@@ -101,3 +103,18 @@ def test_closed_form_matches_quadrature_on_poly_piece():
                   points=[0.75])[0]
     oracle += quad(lambda r: prof.value(r) ** 2 * r**4.0, 1.25, np.inf)[0]
     assert got == pytest.approx(oracle, rel=1e-9)
+
+
+def test_gauss_rule_is_built_once(monkeypatch):
+    # profile integrals reuse quad's cached Gauss-Legendre rule
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(
+        np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n)
+    )
+    dl_quad._leggauss.cache_clear()
+    oracle_quotient("rellich", 9.0, 0.01)
+    first = len(calls)
+    oracle_quotient("rellich", 9.0, 0.01)
+    assert first == 1
+    assert len(calls) == first

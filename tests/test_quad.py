@@ -93,7 +93,7 @@ def test_radial_head_jacobi_captures_singular_power():
 
 @pytest.mark.parametrize("eps,rel", [(1e-3, 1e-12), (1e-6, 1e-9), (1e-10, 1e-6)])
 def test_radial_substitution_tail_captures_eps_mass(eps, rel):
-    grid = RadialGrid((0.0, 1.0), nodes_per_interval=16, tail_mode="substitution")
+    grid = RadialGrid((0.0, 1.0), nodes_per_interval=16)
     # check the pure tail mass through a profile vanishing inside the ball
     def tail_only(r):
         return np.where(r >= 1.0, 1.0, 0.0)
@@ -120,6 +120,14 @@ def test_measure_integral_factorizes(rs_a2, rule_a2):
     assert got == pytest.approx(2.0 ** (nbar + 2.0) / (nbar + 2.0) * sk, rel=1e-12)
 
 
+def test_measure_rejects_non_finite_integrand(rs_a2, rule_a2):
+    grid = RadialGrid((0.0, 1.0), nodes_per_interval=8)
+    with pytest.raises(ValueError, match="not finite"):
+        integrate_measure(
+            rs_a2, lambda X: np.where(X[:, 0] > 0.5, np.nan, 1.0), grid, rule_a2
+        )
+
+
 def test_integration_by_parts_antisymmetry(rs_a2, rule_a2):
     # int T_i(u) v dmu = -int u T_i(v) dmu for decaying u, v
     grid = RadialGrid((0.0, 1.5, 3.0, 6.0, 9.0), nodes_per_interval=48)
@@ -139,7 +147,7 @@ def test_reflected_measure_invariance(rs_z23):
 
 
 def test_divergent_tail_raises():
-    grid = RadialGrid((0.0, 1.0), tail_mode="substitution")
+    grid = RadialGrid((0.0, 1.0))
     with pytest.raises(DivergenceError):
         integrate_radial(
             lambda r: np.ones_like(r), 1.0, grid, tail_power=1.0
@@ -151,5 +159,3 @@ def test_grid_validation():
         RadialGrid((1.0, 0.5))
     with pytest.raises(ValueError):
         RadialGrid((0.0, 1.0), nodes_per_interval=2)
-    with pytest.raises(ValueError):
-        RadialGrid((0.0, 1.0), tail_mode="bogus")
