@@ -186,9 +186,16 @@ def build_basis(rs: RootSystem, n: int, rule: SphericalRule) -> HHarmonicBasis:
 
 
 def sphere_eigencheck(rs: RootSystem, p: Polynomial) -> Polynomial:
-    """Residual r^2 (Dunkl Laplacian p) - (mu_n + lambda_n) p for homogeneous
-    p of degree n, mu_n = n(n + nbar - 2); zero iff the sphere restriction is
-    an eigenfunction with the standard eigenvalue."""
+    """Residual Dunkl-Laplacian(|x|^2 p) - ((n+2)(n+nbar) + lambda_n) p for
+    homogeneous p of degree n, with lambda_n = ``eigenvalue(n, nbar)``.
+
+    For p in the degree-n kernel, the polar form of the Dunkl Laplacian
+    gives Dunkl-Laplacian(|x|^2 p) = ((n+2)(n+nbar) + lambda_n) p with
+    lambda_n the sphere eigenvalue -n(n + nbar - 2), i.e. 2(2n + nbar) p.
+    So for p in the kernel the residual is zero iff ``eigenvalue`` is right;
+    with the right eigenvalue it is |x|^2 Dunkl-Laplacian(p), zero iff p is
+    in the kernel.
+    """
     _require_exact(rs)
     if not p.is_homogeneous():
         raise ValueError("eigencheck needs a homogeneous polynomial")
@@ -196,10 +203,8 @@ def sphere_eigencheck(rs: RootSystem, p: Polynomial) -> Polynomial:
     nbar = Fraction(rs.dimension) + 2 * sum(
         Fraction(k) for k in rs.multiplicities
     )
-    mu = n * (n + nbar - 2)
-    lam = -mu
-    lap = dunkl_laplacian_fast(rs, p)
-    return norm_squared(p.nvars) * lap - (mu + lam) * p
+    lap = dunkl_laplacian_fast(rs, norm_squared(p.nvars) * p)
+    return lap - ((n + 2) * (n + nbar) + eigenvalue(n, nbar)) * p
 
 
 # ---------------------------------------------------------------------------

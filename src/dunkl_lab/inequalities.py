@@ -227,7 +227,7 @@ def _quadrature(prof, term: Term, nbar: float, eps: float, p, nodes: int):
     }[term.field]
     return integrate_radial(
         lambda r: np.abs(field(r)) ** q, exponent, grid, head, tail
-    ).value
+    )
 
 
 def quadrature_quotient(
@@ -471,13 +471,18 @@ def full_space_quotient(
         "lap": lambda X: dunkl_laplacian_num(rs, u, X),
     }
 
-    def integral(term: Term) -> float:
-        F, q, s = fields[term.field], term.power(p), term.shift(p)
-        return integrate_measure(
-            rs, lambda X: np.abs(F(X)) ** q * dd.delta(X) ** s, grid, rule
-        ).value
+    terms = (f.num, f.den)
 
-    num, den = integral(f.num), integral(f.den)
+    def integrands(X):
+        delta = dd.delta(X)
+        return np.stack([
+            np.abs(fields[t.field](X)) ** t.power(p) * delta ** t.shift(p)
+            for t in terms
+        ])
+
+    num, den = (
+        float(v) for v in integrate_measure(rs, integrands, grid, rule).value
+    )
     _check_den(den)
     return num / den
 
@@ -586,30 +591,26 @@ def _domain_check(rs, functions, dd, p, grid, rule, a, b, extra,
     entries = []
     ok = True
     for name, u in functions:
-        lhs = integrate_measure(
-            rs, lambda X: _norms(dunkl_gradient(rs, u, X)) ** p, grid, rule
-        )
-        t_p = integrate_measure(
-            rs, lambda X: np.abs(u.value(X)) ** p / dd.delta(X) ** p, grid, rule
-        )
-        t_x = integrate_measure(
-            rs,
-            lambda X: extra(X) * np.abs(u.value(X)) ** p / dd.delta(X) ** (p - 1.0),
-            grid,
-            rule,
-        )
-        rhs = a * t_p.value + b * t_x.value
-        quad_err = (
-            lhs.estimated_error
-            + abs(a) * t_p.estimated_error
-            + abs(b) * t_x.estimated_error
-        )
+        def integrands(X):
+            u_p = np.abs(u.value(X)) ** p
+            delta = dd.delta(X)
+            return np.stack([
+                _norms(dunkl_gradient(rs, u, X)) ** p,
+                u_p / delta**p,
+                extra(X) * u_p / delta ** (p - 1.0),
+            ])
+
+        res = integrate_measure(rs, integrands, grid, rule)
+        lhs, t_p, t_x = (float(v) for v in res.value)
+        lhs_err, t_p_err, t_x_err = (float(e) for e in res.estimated_error)
+        rhs = a * t_p + b * t_x
+        quad_err = lhs_err + abs(a) * t_p_err + abs(b) * t_x_err
         tol = DOMAIN_RTOL * (abs(rhs) + 1.0) + quad_err
-        margin = lhs.value - rhs
+        margin = lhs - rhs
         passed = margin >= -tol
         ok = ok and passed
         entries.append(
-            {"name": name, "lhs": lhs.value, "rhs": rhs, "margin": margin,
+            {"name": name, "lhs": lhs, "rhs": rhs, "margin": margin,
              "tolerance": tol, "passed": passed}
         )
     return VerificationReport(check_id, DOMAIN_RTOL, entries, ok)

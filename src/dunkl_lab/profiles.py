@@ -20,7 +20,6 @@ from .quad import DivergenceError, legendre_integral
 __all__ = [
     "PowerPiece",
     "PolyPiece",
-    "CallablePiece",
     "PiecewiseProfile",
     "integrate_profile_expression",
     "profile_times_power",
@@ -68,26 +67,6 @@ class PolyPiece:
 
     def deriv2(self, r):
         return self.poly.deriv(2)(r)
-
-
-@dataclass(frozen=True)
-class CallablePiece:
-    """Smooth piece given by explicit value / first / second derivative."""
-
-    lo: float
-    hi: float
-    f0: object
-    f1: object
-    f2: object
-
-    def value(self, r):
-        return self.f0(r)
-
-    def deriv(self, r):
-        return self.f1(r)
-
-    def deriv2(self, r):
-        return self.f2(r)
 
 
 def _power_integral(c: float, s: float, lo: float, hi: float) -> float:
@@ -225,23 +204,9 @@ def profile_times_power(prof: PiecewiseProfile, n: int) -> PiecewiseProfile:
     for piece in prof.pieces:
         if isinstance(piece, PowerPiece):
             out.append(PowerPiece(piece.lo, piece.hi, piece.coef, piece.power + n))
-        elif isinstance(piece, PolyPiece):
+        else:
             rn = np.polynomial.Polynomial([0.0] * n + [1.0])
             out.append(PolyPiece(piece.lo, piece.hi, piece.poly * rn))
-        else:
-            p = piece
-            out.append(
-                CallablePiece(
-                    p.lo,
-                    p.hi,
-                    lambda r, p=p: r**n * p.value(r),
-                    lambda r, p=p: r**n * p.deriv(r)
-                    + (n * r ** (n - 1) * p.value(r) if n else 0.0),
-                    lambda r, p=p: r**n * p.deriv2(r)
-                    + (2 * n * r ** (n - 1) * p.deriv(r) if n else 0.0)
-                    + (n * (n - 1) * r ** (n - 2) * p.value(r) if n >= 2 else 0.0),
-                )
-            )
     return PiecewiseProfile(out)
 
 

@@ -75,8 +75,11 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class WeightedIntegral:
-    value: float
-    estimated_error: float
+    """``integrate_measure``'s result: floats for one field, (K,) arrays for
+    a stack of K fields."""
+
+    value: float | np.ndarray
+    estimated_error: float | np.ndarray
 
 
 def sphere_surface(N: int) -> float:
@@ -179,9 +182,11 @@ def weighted_sphere(rs: RootSystem, rule: SphericalRule):
 
 
 def polar_values(f, r, nodes) -> np.ndarray:
-    """f at the points r_i * xi_j, as an array of shape (len(r), len(nodes))."""
+    """f at the points r_i * xi_j, as an array of shape (len(r), len(nodes)),
+    or (K, len(r), len(nodes)) when f returns a (K, M) stack of fields."""
     X = (r[:, None, None] * nodes[None, :, :]).reshape(-1, nodes.shape[1])
-    return np.asarray(f(X), dtype=float).reshape(len(r), len(nodes))
+    vals = np.asarray(f(X), dtype=float)
+    return vals.reshape(vals.shape[:-1] + (len(r), len(nodes)))
 
 
 def sphere_weight_integral(rs: RootSystem, rule: SphericalRule) -> float:
@@ -203,7 +208,23 @@ def radial_nodes(grid: RadialGrid, n: int | None = None):
             np.concatenate([half * w for _, w, half in panels]))
 
 
-def _radial_value(g, exponent, grid, head_power, tail_power, n):
+def integrate_radial(
+    g,
+    exponent: float,
+    grid: RadialGrid,
+    head_power: float | None = None,
+    tail_power: float | None = None,
+) -> float:
+    """The integral of g(r) r^exponent dr over [0, R_max], plus the tail
+    beyond R_max when ``tail_power`` is given.
+
+    ``head_power`` / ``tail_power`` give the combined power behavior of
+    g(r) r^exponent at the respective end; the head power switches the first
+    interval to a Gauss-Jacobi rule with that weight, and the tail power
+    adds the tail by the substitution r = R_max/t under a Gauss-Jacobi rule
+    matched to the decay.
+    """
+    n = grid.nodes_per_interval
     total = 0.0
     bps = grid.breakpoints
     for a, b in zip(bps[:-1], bps[1:]):
@@ -231,28 +252,6 @@ def _radial_value(g, exponent, grid, head_power, tail_power, n):
     return total
 
 
-def integrate_radial(
-    g,
-    exponent: float,
-    grid: RadialGrid,
-    head_power: float | None = None,
-    tail_power: float | None = None,
-) -> WeightedIntegral:
-    """Integral of g(r) r^exponent dr over [0, R_max], plus the tail beyond
-    R_max when ``tail_power`` is given.
-
-    ``head_power`` / ``tail_power`` give the combined power behavior of
-    g(r) r^exponent at the respective end; the head power switches the first
-    interval to a Gauss-Jacobi rule with that weight, and the tail power
-    adds the tail by the substitution r = R_max/t under a Gauss-Jacobi rule
-    matched to the decay.
-    """
-    n = grid.nodes_per_interval
-    v = _radial_value(g, exponent, grid, head_power, tail_power, n)
-    v2 = _radial_value(g, exponent, grid, head_power, tail_power, max(n // 2, 8))
-    return WeightedIntegral(v, abs(v - v2))
-
-
 # ---------------------------------------------------------------------------
 # measure integration over R^N
 
@@ -262,7 +261,11 @@ def integrate_measure(
 ) -> WeightedIntegral:
     """Integral of f against omega_k(x) dx over the ball of radius R_max.
 
-    f must accept an (M, N) array of points and return (M,) values.
+    f must accept an (M, N) array of points and return either (M,) values or
+    a (K, M) stack of K fields; a stack is evaluated in one pass over the
+    grid, and the result then holds (K,) arrays, component k being exactly
+    the integral of field k alone.  The error estimate is the difference to
+    the same rule at half the nodes per interval.
     """
     nodes, wsph = weighted_sphere(rs, rule)
     exponent = rs.dimension + 2.0 * rs.gamma - 1.0
@@ -271,9 +274,12 @@ def integrate_measure(
         r, wr = radial_nodes(grid, n)
         vals = polar_values(f, r, nodes)
         if not np.all(np.isfinite(vals)):
-            i, j = np.argwhere(~np.isfinite(vals))[0]
+            *_, i, j = np.argwhere(~np.isfinite(vals))[0]
             raise ValueError(f"integrand not finite at node {r[i] * nodes[j]}")
-        return float((wr * r**exponent) @ vals @ wsph)
+        wrad = wr * r**exponent
+        if vals.ndim == 2:
+            return float(wrad @ vals @ wsph)
+        return np.array([wrad @ field @ wsph for field in vals])
 
     v = total(grid.nodes_per_interval)
     v2 = total(max(grid.nodes_per_interval // 2, 8))
@@ -286,14 +292,13 @@ def integration_by_parts_residual(
     """|int T_i(u) v dmu + int u T_i(v) dmu| / (|int T_i(u) v dmu| + 1)."""
     from .dunklnum import dunkl_gradient
 
-    def lhs(X):
-        return dunkl_gradient(rs, u, X)[:, i] * v.value(X)
+    def pairings(X):
+        return np.stack([
+            dunkl_gradient(rs, u, X)[:, i] * v.value(X),
+            u.value(X) * dunkl_gradient(rs, v, X)[:, i],
+        ])
 
-    def rhs(X):
-        return u.value(X) * dunkl_gradient(rs, v, X)[:, i]
-
-    a = integrate_measure(rs, lhs, grid, rule).value
-    b = integrate_measure(rs, rhs, grid, rule).value
+    a, b = (float(x) for x in integrate_measure(rs, pairings, grid, rule).value)
     return abs(a + b) / (abs(a) + 1.0)
 
 
@@ -302,12 +307,16 @@ def reflected_measure_invariance(
 ) -> float:
     """Max over positive roots of the relative defect
     |int f(sigma_alpha x) dmu - int f dmu|."""
-    base = integrate_measure(rs, f, grid, rule).value
+    def reflections(X):
+        return np.stack(
+            [f(X)] + [f(reflect(root, X)) for root in rs.positive_roots]
+        )
+
+    base, *reflected = (
+        float(x) for x in integrate_measure(rs, reflections, grid, rule).value
+    )
     scale = abs(base) + 1.0
     worst = 0.0
-    for root in rs.positive_roots:
-        refl = integrate_measure(
-            rs, lambda X, rt=root: f(reflect(rt, X)), grid, rule
-        ).value
+    for refl in reflected:
         worst = max(worst, abs(refl - base) / scale)
     return worst

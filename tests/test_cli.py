@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from dunkl_lab import polyalg
+from dunkl_lab import harmonics, polyalg
 from dunkl_lab.cli import main
+from dunkl_lab.reflection import build_root_system
 
 CSV_HEADER = ["epsilon", "quotient_oracle", "quotient_quadrature", "target",
               "rel_gap"]
@@ -61,6 +62,21 @@ def test_harmonics_suite(tmp_path):
             in d["check"]}
     assert len(dims) == 4
     assert all(d["value"] == d["expected"] for d in dims.values())
+
+
+def test_wrong_sphere_eigenvalue_fails_the_harmonics_suite(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(harmonics, "eigenvalue",
+                        lambda n, nbar: n * (n + nbar - 3))
+    rs = build_root_system("Z2", 3, 1)
+    p = harmonics.kernel_basis(rs, 2)[0]
+    assert not harmonics.sphere_eigencheck(rs, p).is_zero()
+    out = tmp_path / "o"
+    assert _run(["verify", "harmonics", "--family", "Z2", "--rank", "3",
+                 "--nmax", "3", "--out", str(out)]) == 1
+    doc = json.loads((out / "summary.json").read_text())
+    failed = [d["check"] for d in doc["details"] if not d["passed"]]
+    assert failed == [f"sphere_eigenvalue/n={n}" for n in (1, 2, 3)]
 
 
 def test_all_suite_and_reports(tmp_path):
