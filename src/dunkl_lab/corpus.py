@@ -176,15 +176,15 @@ def separable_mode(rs, profile: PiecewiseProfile, p: Polynomial,
 
     The Dunkl gradient of u splits pointwise as g grad_k p + g' p x/r, so the
     quotient integrals need only three spherical averages of p; they are
-    computed here with a weighted sphere rule whose order covers the
-    polynomial integrands exactly (the multiplicities must make the weight a
-    polynomial for that exactness to hold, e.g. integer values).
+    computed on ``quad.weighted_sphere`` of ``rule``.  The integrands have
+    degree 2n + 2*gamma, and the default rule is exact to that degree (the
+    multiplicities must make the weight a polynomial for that exactness to
+    hold, e.g. integer values).
     """
     from math import ceil
 
     from .polyalg import dunkl_gradient_sym
-    from .quad import sphere_rule
-    from .reflection import weight
+    from .quad import sphere_rule, weighted_sphere
 
     if not p.is_homogeneous():
         raise ValueError("the angular factor must be homogeneous")
@@ -192,8 +192,8 @@ def separable_mode(rs, profile: PiecewiseProfile, p: Polynomial,
     N = rs.dimension
     gamma = float(rs.gamma)
     if rule is None:
-        rule = sphere_rule(N, 2 * n + int(ceil(2.0 * gamma)) + 4)
-    xi, w = rule.nodes, rule.weights * weight(rs, rule.nodes)
+        rule = sphere_rule(N, max(1, 2 * n + int(ceil(2.0 * gamma))))
+    xi, w = weighted_sphere(rs, rule)
     pv = p.evaluate(xi)
     G = np.column_stack([q.evaluate(xi) for q in dunkl_gradient_sym(rs, p)])
     c0 = float(np.sum(w * pv**2))
@@ -274,9 +274,11 @@ def mode_corpus(rs, rng, count: int, degrees=(0, 1, 2, 3), rule=None):
     of the listed degrees (mode 0 entries are plain radial functions).
 
     ``rule`` optionally fixes the sphere rule used for the mode constants;
-    it must be exact for polynomials of degree 2*max(degrees) + 2*gamma.
-    Constants are cached per harmonic since they do not depend on the
-    radial profile."""
+    it must be exact for polynomials of degree 2n + 2*gamma with
+    n = max(degrees), as ``separable_mode``'s default is.  Constants are
+    computed once per harmonic since they do not depend on the radial
+    profile."""
+    from dataclasses import replace
     from fractions import Fraction
 
     from .harmonics import kernel_basis
@@ -297,10 +299,7 @@ def mode_corpus(rs, rng, count: int, degrees=(0, 1, 2, 3), rule=None):
         idx = int(rng.integers(len(bases[n])))
         key = (n, idx)
         if key in cache:
-            template = cache[key]
-            mf = ModeFunction(
-                n, prof, template.nbar, template.c0, template.c1, template.c2
-            )
+            mf = replace(cache[key], profile=prof)
         else:
             mf = separable_mode(rs, prof, bases[n][idx], rule=rule)
             cache[key] = mf

@@ -21,9 +21,10 @@ from .quad import (
     integrate_measure,
     polar_values,
     radial_nodes,
+    reflected_stack,
     weighted_sphere,
 )
-from .reflection import RootSystem, reflect
+from .reflection import RootSystem
 
 __all__ = [
     "HHarmonicBasis",
@@ -274,14 +275,9 @@ def mean_projection_invariance(
     nodes, wsph = weighted_sphere(rs, rule)
     sk = float(np.sum(wsph))
     r, _ = radial_nodes(grid)
-
-    def mean(f):
-        return (polar_values(f, r, nodes) @ wsph) / sk
-
-    base = mean(u)
+    base, *reflected = (polar_values(reflected_stack(rs, u), r, nodes) @ wsph) / sk
     worst = 0.0
-    for root in rs.positive_roots:
-        refl = mean(lambda X, rt=root: u(reflect(rt, X)))
+    for refl in reflected:
         worst = max(worst, float(np.max(np.abs(refl - base))))
     return worst
 
@@ -304,14 +300,13 @@ def cross_term_bound_check(
     sk = float(np.sum(wsph))
     exponent = rs.dimension + 2.0 * rs.gamma - 1.0
     r, wr = radial_nodes(grid)
-    U = polar_values(u, r, nodes)
+    U, *reflected = polar_values(reflected_stack(rs, u), r, nodes)
     mean = (U @ wsph) / sk
     wrad = wr * r ** (exponent - 4.0)
     rhs = 2.0 * float(wrad @ ((U - mean[:, None]) ** 2 @ wsph))
     entries = []
     ok = True
-    for idx, root in enumerate(rs.positive_roots):
-        Us = polar_values(lambda X, rt=root: u(reflect(rt, X)), r, nodes)
+    for idx, Us in enumerate(reflected):
         lhs = float(wrad @ (((U - Us) * U) @ wsph))
         entries.append((idx, lhs, rhs))
         ok = ok and lhs <= rhs + tolerance * (abs(rhs) + 1.0)

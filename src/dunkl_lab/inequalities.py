@@ -25,6 +25,7 @@ from .domains import DomainSpec, distance_data
 from .dunklnum import SmoothFunction, dunkl_gradient, dunkl_laplacian_num
 from .profiles import (
     PiecewiseProfile,
+    _is_zero_piece,
     hardy_p_profile,
     integrate_profile_expression,
     mollified_power_profile,
@@ -425,14 +426,13 @@ def mode_functional(N: int, gamma, C, n: int, prof: PiecewiseProfile):
     """
     co = mode_coefficients(N, gamma, n, C)
     nbar = N + 2.0 * float(_rational(gamma))
+    mass = integrate_profile_expression(prof, lambda r: prof.value(r) ** 2, nbar - 5.0)
     i_val = (
         integrate_profile_expression(prof, lambda r: prof.deriv2(r) ** 2, nbar - 1.0)
         + float(co.a_n)
         * integrate_profile_expression(prof, lambda r: prof.deriv(r) ** 2, nbar - 3.0)
-        + float(co.b_n)
-        * integrate_profile_expression(prof, lambda r: prof.value(r) ** 2, nbar - 5.0)
+        + float(co.b_n) * mass
     )
-    mass = integrate_profile_expression(prof, lambda r: prof.value(r) ** 2, nbar - 5.0)
     bound = float(co.d_n) * mass
     ok = i_val >= bound - 1e-8 * (abs(bound) + 1.0)
     return i_val, bound, ok
@@ -495,14 +495,24 @@ def full_space_quotient(
 class ModeFunction:
     """u = g(r) p(x) for a homogeneous degree-n h-harmonic p.
 
-    Every quotient integral reduces exactly to one dimension: the Laplacian
-    through the polar form with the sphere eigenvalue, and the Dunkl gradient
-    through the pointwise split grad_k u = g grad_k p + g' p x/r, whose
-    squared spherical averages are the stored constants
+    Every quotient integral reduces exactly to the profile's closed-form
+    one-dimensional integrals.  The Dunkl gradient splits pointwise as
+    grad_k u = g grad_k p + g' p x/r, whose squared spherical averages are
+    the stored constants
 
       c0 = int_S p^2 omega dnu,
       c1 = int_S |grad_k p|^2 omega dnu,
       c2 = int_S p <xi, grad_k p> omega dnu.
+
+    With e the weight exponent and g zero near 0 and near infinity:
+
+      int u^2 r^e            = c0 int g^2 r^(e+2n),
+      int |lap_k u|^2 r^e    = c0 int (g'' + (nbar+2n-1) g'/r)^2 r^(e+2n),
+      int |grad_k u|^2 r^e   = c0 int g'^2 r^(e+2n)
+                               + (c1 - (e+2n-1) c2) int g^2 r^(e+2n-2),
+
+    the first two since lap_k(g p) = (g'' + (nbar+2n-1) g'/r) p, the last
+    after integrating the cross term 2 c2 g g' r^(e+2n-1) by parts.
     """
 
     n: int
@@ -512,45 +522,27 @@ class ModeFunction:
     c1: float
     c2: float
 
-    @property
-    def lam(self) -> float:
-        return -self.n * (self.n + self.nbar - 2.0)
+    def __post_init__(self):
+        pieces = self.profile.pieces
+        if not (_is_zero_piece(pieces[0]) and _is_zero_piece(pieces[-1])):
+            raise ValueError("mode profiles must vanish near 0 and near infinity")
 
     def value_integral(self, exponent: float) -> float:
-        g, n = self.profile, self.n
-        return self.c0 * integrate_profile_expression(
-            g, lambda r: g.value(r) ** 2 * r ** (2 * n), exponent
+        return self.c0 * self.profile.integral_value_power(
+            2.0, exponent + 2 * self.n
         )
 
     def gradient_integral(self, exponent: float) -> float:
         """int |grad_k u|^2 r^exponent dr dnu-part, exact per the split."""
-        g, n = self.profile, self.n
-
-        def density(r):
-            gv, gd = g.value(r), g.deriv(r)
-            return (
-                self.c1 * gv**2 * r ** (2 * n - 2)
-                + self.c0 * gd**2 * r ** (2 * n)
-                + 2.0 * self.c2 * gv * gd * r ** (2 * n - 1)
-            )
-
-        return integrate_profile_expression(g, density, exponent)
+        g, s = self.profile, exponent + 2 * self.n
+        return self.c0 * g.integral_deriv_power(2.0, s) + (
+            self.c1 - (s - 1.0) * self.c2
+        ) * g.integral_value_power(2.0, s - 2.0)
 
     def laplacian_integral(self, exponent: float) -> float:
-        g, n, lam = self.profile, self.n, self.lam
-        nbar = self.nbar
-
-        def density(r):
-            u = g.value(r) * r**n
-            d1 = g.deriv(r) * r**n + (n * g.value(r) * r ** (n - 1) if n else 0.0)
-            d2 = (
-                g.deriv2(r) * r**n
-                + (2 * n * g.deriv(r) * r ** (n - 1) if n else 0.0)
-                + (n * (n - 1) * g.value(r) * r ** (n - 2) if n >= 2 else 0.0)
-            )
-            return (d2 + (nbar - 1.0) * d1 / r + lam * u / r**2) ** 2
-
-        return self.c0 * integrate_profile_expression(g, density, exponent)
+        return self.c0 * self.profile.integral_laplacian_sq(
+            exponent + 2 * self.n, self.nbar + 2 * self.n
+        )
 
 
 def mode_quotient(mf: ModeFunction, kind: str) -> float:

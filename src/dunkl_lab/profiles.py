@@ -22,13 +22,13 @@ __all__ = [
     "PolyPiece",
     "PiecewiseProfile",
     "integrate_profile_expression",
-    "profile_times_power",
     "hardy_p_profile",
     "step_power_profile",
     "mollified_power_profile",
 ]
 
 _GL_POINTS = 80  # Gauss-Legendre points per finite piece
+JOIN_HALF_WIDTH = 0.25  # mollified profiles join on [1 - h, 1 + h]
 
 
 @dataclass(frozen=True)
@@ -196,20 +196,6 @@ def integrate_profile_expression(prof: PiecewiseProfile, term, exponent: float) 
     return total
 
 
-def profile_times_power(prof: PiecewiseProfile, n: int) -> PiecewiseProfile:
-    """The profile r^n * u(r) with derivatives by the product rule."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    out = []
-    for piece in prof.pieces:
-        if isinstance(piece, PowerPiece):
-            out.append(PowerPiece(piece.lo, piece.hi, piece.coef, piece.power + n))
-        else:
-            rn = np.polynomial.Polynomial([0.0] * n + [1.0])
-            out.append(PolyPiece(piece.lo, piece.hi, piece.poly * rn))
-    return PiecewiseProfile(out)
-
-
 # ---------------------------------------------------------------------------
 # profile builders
 
@@ -247,15 +233,15 @@ def _quintic_join(x0: float, x1: float, left, right) -> np.polynomial.Polynomial
     return np.polynomial.Polynomial(coeffs)
 
 
-def mollified_power_profile(power: float, h: float = 0.25) -> PiecewiseProfile:
-    """Constant 1, then r^power, with a C^2 quintic join on [1-h, 1+h].
+def mollified_power_profile(power: float) -> PiecewiseProfile:
+    """Constant 1, then r^power, with a C^2 quintic join on [1-h, 1+h],
+    h = ``JOIN_HALF_WIDTH``.
 
     The kinked profile would put a surface delta into the Laplacian; the
     fixed-width join keeps the second derivative bounded while contributing
     only O(1) against the 1/eps growth of the power-law integrals.
     """
-    if not 0.0 < h < 1.0:
-        raise ValueError("join width must lie in (0, 1)")
+    h = JOIN_HALF_WIDTH
     x1 = 1.0 + h
     b = power
     poly = _quintic_join(

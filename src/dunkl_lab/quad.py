@@ -33,6 +33,7 @@ __all__ = [
     "jitter_off_hyperplanes",
     "weighted_sphere",
     "polar_values",
+    "reflected_stack",
     "sphere_weight_integral",
     "radial_nodes",
     "legendre_integral",
@@ -189,9 +190,17 @@ def polar_values(f, r, nodes) -> np.ndarray:
     return vals.reshape(vals.shape[:-1] + (len(r), len(nodes)))
 
 
+def reflected_stack(rs: RootSystem, f):
+    """The field stack [f, f o sigma_alpha for each positive root alpha]."""
+    def fields(X):
+        return np.stack([f(X)] + [f(reflect(root, X)) for root in rs.positive_roots])
+
+    return fields
+
+
 def sphere_weight_integral(rs: RootSystem, rule: SphericalRule) -> float:
     """S_k = integral of omega_k over the unit sphere."""
-    return float(np.sum(rule.weights * weight(rs, rule.nodes)))
+    return float(np.sum(weighted_sphere(rs, rule)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +316,9 @@ def reflected_measure_invariance(
 ) -> float:
     """Max over positive roots of the relative defect
     |int f(sigma_alpha x) dmu - int f dmu|."""
-    def reflections(X):
-        return np.stack(
-            [f(X)] + [f(reflect(root, X)) for root in rs.positive_roots]
-        )
-
     base, *reflected = (
-        float(x) for x in integrate_measure(rs, reflections, grid, rule).value
+        float(x)
+        for x in integrate_measure(rs, reflected_stack(rs, f), grid, rule).value
     )
     scale = abs(base) + 1.0
     worst = 0.0

@@ -310,28 +310,14 @@ def reflection_jacobian(root: Root) -> float:
 
 
 def generate_group(rs: RootSystem, max_order: int = 20000) -> ReflectionGroup:
-    """Breadth-first closure of the generating reflections."""
-    n = rs.dimension
-    exact = rs.exact
-    if exact:
-        gens = [reflection_matrix(r, exact=True) for r in rs.positive_roots]
+    """Breadth-first closure of the generating reflections in floating
+    point; two products are the same element when their entries agree to
+    9 decimals."""
+    gens = [reflection_matrix(r, exact=False) for r in rs.positive_roots]
+    ident = np.eye(rs.dimension)
 
-        def mul(a, b):
-            return tuple(
-                tuple(sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n))
-                for i in range(n)
-            )
-
-        ident = tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
-        key = lambda m: m
-    else:
-        gens = [reflection_matrix(r, exact=False) for r in rs.positive_roots]
-        ident = np.eye(n)
-        mul = lambda a, b: a @ b
-        key = lambda m: tuple(np.round(np.asarray(m, dtype=float), 9).ravel())
+    def key(m):
+        return tuple(np.round(m, 9).ravel())
 
     seen = {key(ident): ident}
     frontier = [ident]
@@ -339,7 +325,7 @@ def generate_group(rs: RootSystem, max_order: int = 20000) -> ReflectionGroup:
         nxt = []
         for m in frontier:
             for g in gens:
-                p = mul(m, g)
+                p = m @ g
                 k = key(p)
                 if k not in seen:
                     seen[k] = p
@@ -350,12 +336,7 @@ def generate_group(rs: RootSystem, max_order: int = 20000) -> ReflectionGroup:
                             "input is not a valid finite root system"
                         )
         frontier = nxt
-
-    elems = tuple(
-        np.array([[float(x) for x in row] for row in m]) if exact else m
-        for m in seen.values()
-    )
-    return ReflectionGroup(elements=elems)
+    return ReflectionGroup(elements=tuple(seen.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dunkl_lab.corpus import (
     shifted_gaussian,
 )
 from dunkl_lab.domains import DomainSpec, distance_data
-from dunkl_lab.quad import sphere_weight_integral, sphere_rule
+from dunkl_lab.quad import jitter_off_hyperplanes, sphere_rule, sphere_weight_integral
 
 
 def test_bumps_register_cleanly(rng):
@@ -76,3 +76,18 @@ def test_separable_mode_classical_consistency(rng):
     prof = bump_radial_profile(1.4, 0.7)
     mf = separable_mode(rs, prof, p)
     assert mf.c2 == pytest.approx(2.0 * mf.c0, rel=1e-10)
+
+
+def test_separable_mode_constants_ignore_hyperplane_jitter():
+    # the constants are read on quad.weighted_sphere, which moves nodes off
+    # the reflection hyperplanes itself: a pre-jittered rule changes nothing
+    from dunkl_lab.harmonics import kernel_basis
+    from dunkl_lab.reflection import build_root_system
+
+    rs = build_root_system("Z2", 3, ["1/2"] * 3)
+    p = kernel_basis(rs, 2)[0]
+    prof = bump_radial_profile(1.4, 0.7)
+    rule = sphere_rule(3, 10)
+    plain = separable_mode(rs, prof, p, rule=rule)
+    moved = separable_mode(rs, prof, p, rule=jitter_off_hyperplanes(rule, rs))
+    assert (plain.c0, plain.c1, plain.c2) == (moved.c0, moved.c1, moved.c2)

@@ -14,6 +14,7 @@ from dunkl_lab.inequalities import (
     DEFAULT_EPSILONS,
     FAMILY_KINDS,
     DegenerateInputError,
+    ModeFunction,
     alternate_exponent_limit,
     build_extremizer,
     extrapolate_to_zero,
@@ -30,6 +31,7 @@ from dunkl_lab.inequalities import (
     sharpness_sweep,
 )
 from dunkl_lab.polyalg import Polynomial
+from dunkl_lab.profiles import step_power_profile
 from dunkl_lab.quad import RadialGrid, integrate_measure
 
 
@@ -175,6 +177,12 @@ def test_mode_reduction_matches_full_quadrature(rs_a2, rule_a2):
         assert full_space_quotient(
             rs_a2, u, "hardy_p", spec, grid, rule_a2, p=2.0
         ) == pytest.approx(mode_quotient(mf, "hardy_2"), rel=1e-10)
+
+
+def test_mode_function_needs_compact_profile():
+    # the closed-form reduction drops boundary terms at 0 and infinity
+    with pytest.raises(ValueError, match="vanish"):
+        ModeFunction(1, step_power_profile(-3.0), 5.0, 1.0, 1.0, 1.0)
 
 
 def test_quotients_scale_invariant(rs_a2):

@@ -11,7 +11,6 @@ from dunkl_lab.profiles import (
     hardy_p_profile,
     integrate_profile_expression,
     mollified_power_profile,
-    profile_times_power,
     step_power_profile,
 )
 from dunkl_lab import quad as dl_quad
@@ -51,7 +50,7 @@ def test_divergence_detected():
 
 def test_mollified_profile_is_c2():
     for power in (-2.5, -3.5):
-        prof = mollified_power_profile(power, h=0.25)
+        prof = mollified_power_profile(power)
         for x in (0.75, 1.25):
             lo, hi = x - 1e-7, x + 1e-7
             assert prof.value(lo) == pytest.approx(prof.value(hi), abs=1e-5)
@@ -60,7 +59,7 @@ def test_mollified_profile_is_c2():
 
 
 def test_mollified_laplacian_integral_finite():
-    prof = mollified_power_profile(-2.6, h=0.25)
+    prof = mollified_power_profile(-2.6)
     val = prof.integral_laplacian_sq(8.0, 9.0)
     assert np.isfinite(val) and val > 0.0
 
@@ -68,8 +67,6 @@ def test_mollified_laplacian_integral_finite():
 def test_hardy_profile_validation():
     with pytest.raises(ValueError):
         hardy_p_profile(5.0, 6.0, 0.1)  # needs p > nbar
-    with pytest.raises(ValueError):
-        mollified_power_profile(-2.0, h=1.5)
 
 
 def test_integrate_profile_expression_requires_compact_support():
@@ -78,26 +75,8 @@ def test_integrate_profile_expression_requires_compact_support():
         integrate_profile_expression(prof, lambda r: r, 0.0)
 
 
-def test_profile_times_power():
-    from dunkl_lab.corpus import bump_radial_profile
-
-    base = bump_radial_profile(1.5, 0.7)
-    lifted = profile_times_power(base, 2)
-    r = np.linspace(0.9, 2.1, 50)
-    assert np.allclose(lifted.value(r), r**2 * base.value(r), atol=1e-12)
-    assert np.allclose(
-        lifted.deriv(r), 2 * r * base.value(r) + r**2 * base.deriv(r),
-        atol=1e-10,
-    )
-    assert np.allclose(
-        lifted.deriv2(r),
-        2 * base.value(r) + 4 * r * base.deriv(r) + r**2 * base.deriv2(r),
-        atol=1e-10,
-    )
-
-
 def test_closed_form_matches_quadrature_on_poly_piece():
-    prof = mollified_power_profile(-3.0, h=0.25)
+    prof = mollified_power_profile(-3.0)
     got = prof.integral_value_power(2.0, 4.0)
     oracle = quad(lambda r: prof.value(r) ** 2 * r**4.0, 0.0, 1.25,
                   points=[0.75])[0]
