@@ -8,12 +8,15 @@ polynomials so the 1-D reductions stay quadrature-exact.
 
 from __future__ import annotations
 
+from math import ceil
+
 import numpy as np
 
 from .dunklnum import SmoothFunction
 from .inequalities import ModeFunction
-from .polyalg import Polynomial
+from .polyalg import Polynomial, dunkl_gradient_sym, variable
 from .profiles import PiecewiseProfile, PolyPiece, PowerPiece
+from .quad import sphere_moments, sphere_rule
 
 __all__ = [
     "ball_bump",
@@ -170,36 +173,51 @@ def mode_function(profile: PiecewiseProfile, p: Polynomial) -> SmoothFunction:
     return SmoothFunction(value, gradient, laplacian, dimension=N)
 
 
+def _default_mode_rule(rs, n: int):
+    """The sphere rule exact to degree 2n + ceil(2*gamma)."""
+    return sphere_rule(rs.dimension, max(1, 2 * n + int(ceil(2.0 * float(rs.gamma)))))
+
+
+def _mode_constants(rs, p: Polynomial, moment):
+    """(c0, c1, c2) of the h-harmonic p as moments of exact polynomials:
+    p^2, sum_i (T_i p)^2 and p * sum_i x_i T_i p."""
+    grad = dunkl_gradient_sym(rs, p)
+    N = rs.dimension
+    sq = Polynomial(N)
+    radial = Polynomial(N)
+    for i, g in enumerate(grad):
+        sq = sq + g * g
+        radial = radial + variable(i, N) * g
+    return moment((p * p).terms), moment(sq.terms), moment((p * radial).terms)
+
+
 def separable_mode(rs, profile: PiecewiseProfile, p: Polynomial,
                    rule=None) -> ModeFunction:
     """Single-mode trial function u = g(r) p(x) for a homogeneous h-harmonic p.
 
     The Dunkl gradient of u splits pointwise as g grad_k p + g' p x/r, so the
-    quotient integrals need only three spherical averages of p; they are
-    computed on ``quad.weighted_sphere`` of ``rule``.  The integrands have
-    degree 2n + 2*gamma, and the default rule is exact to that degree (the
-    multiplicities must make the weight a polynomial for that exactness to
-    hold, e.g. integer values).
+    quotient integrals need only three spherical averages of p.  Each is the
+    moment (``quad.sphere_moments`` of ``rule``) of an exact polynomial:
+
+      c0 = moment(p^2),
+      c1 = moment(sum_i (T_i p)^2),
+      c2 = moment(p * sum_i x_i T_i p),
+
+    the same sums over ``quad.weighted_sphere`` as evaluating p and T p at
+    its nodes, added in a different order.  The moment table lives for
+    this call only; ``mode_corpus`` shares one across a corpus.  The
+    integrands have degree 2n + 2*gamma, and the default rule is exact to
+    that degree (the multiplicities must make the weight a polynomial for
+    that exactness to hold, e.g. integer values).
     """
-    from math import ceil
-
-    from .polyalg import dunkl_gradient_sym
-    from .quad import sphere_rule, weighted_sphere
-
     if not p.is_homogeneous():
         raise ValueError("the angular factor must be homogeneous")
     n = p.degree()
-    N = rs.dimension
-    gamma = float(rs.gamma)
     if rule is None:
-        rule = sphere_rule(N, max(1, 2 * n + int(ceil(2.0 * gamma))))
-    xi, w = weighted_sphere(rs, rule)
-    pv = p.evaluate(xi)
-    G = np.column_stack([q.evaluate(xi) for q in dunkl_gradient_sym(rs, p)])
-    c0 = float(np.sum(w * pv**2))
-    c1 = float(np.sum(w * np.sum(G**2, axis=1)))
-    c2 = float(np.sum(w * pv * np.einsum("mi,mi->m", xi, G)))
-    return ModeFunction(n, profile, N + 2.0 * gamma, c0, c1, c2)
+        rule = _default_mode_rule(rs, n)
+    c0, c1, c2 = _mode_constants(rs, p, sphere_moments(rs, rule))
+    return ModeFunction(n, profile, rs.dimension + 2.0 * float(rs.gamma),
+                        c0, c1, c2)
 
 
 def random_damped_polynomial(rng, N: int, degree: int) -> SmoothFunction:
@@ -273,12 +291,16 @@ def mode_corpus(rs, rng, count: int, degrees=(0, 1, 2, 3), rule=None):
     """Single-mode trial functions: random shell profiles times h-harmonics
     of the listed degrees (mode 0 entries are plain radial functions).
 
-    ``rule`` optionally fixes the sphere rule used for the mode constants;
-    it must be exact for polynomials of degree 2n + 2*gamma with
-    n = max(degrees), as ``separable_mode``'s default is.  Constants are
-    computed once per harmonic since they do not depend on the radial
-    profile."""
-    from dataclasses import replace
+    The mode constants are those of ``separable_mode``, moments of exact
+    polynomials: c0 = moment(p^2), c1 = moment(sum_i (T_i p)^2) and
+    c2 = moment(p * sum_i x_i T_i p).  One moment table
+    (``quad.sphere_moments``, one weighted sphere) serves the whole call:
+    it is built once, shared by every harmonic, and dropped when the call
+    returns.  ``rule`` optionally fixes its sphere rule; it must be
+    exact for polynomials of degree 2n + 2*gamma with n = max(degrees).
+    When it is None the call uses the rule exact to degree
+    2 max(degrees) + ceil(2*gamma).  Constants are computed once per
+    harmonic since they do not depend on the radial profile."""
     from fractions import Fraction
 
     from .harmonics import kernel_basis
@@ -289,8 +311,12 @@ def mode_corpus(rs, rng, count: int, degrees=(0, 1, 2, 3), rule=None):
             bases[0] = [Polynomial(rs.dimension, {(0,) * rs.dimension: Fraction(1)})]
         else:
             bases[n] = kernel_basis(rs, n)
+    if rule is None:
+        rule = _default_mode_rule(rs, max(degrees))
+    moment = sphere_moments(rs, rule)
+    nbar = rs.dimension + 2.0 * float(rs.gamma)
     out = []
-    cache = {}
+    constants = {}
     for i in range(count):
         n = degrees[i % len(degrees)]
         center = rng.uniform(0.8, 2.5)
@@ -298,10 +324,7 @@ def mode_corpus(rs, rng, count: int, degrees=(0, 1, 2, 3), rule=None):
         prof = bump_radial_profile(center, width)
         idx = int(rng.integers(len(bases[n])))
         key = (n, idx)
-        if key in cache:
-            mf = replace(cache[key], profile=prof)
-        else:
-            mf = separable_mode(rs, prof, bases[n][idx], rule=rule)
-            cache[key] = mf
-        out.append((f"mode{n}_{i}", mf))
+        if key not in constants:
+            constants[key] = _mode_constants(rs, bases[n][idx], moment)
+        out.append((f"mode{n}_{i}", ModeFunction(n, prof, nbar, *constants[key])))
     return out

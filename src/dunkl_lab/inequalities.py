@@ -426,11 +426,10 @@ def mode_functional(N: int, gamma, C, n: int, prof: PiecewiseProfile):
     """
     co = mode_coefficients(N, gamma, n, C)
     nbar = N + 2.0 * float(_rational(gamma))
-    mass = integrate_profile_expression(prof, lambda r: prof.value(r) ** 2, nbar - 5.0)
+    mass = prof.integral_value_power(2.0, nbar - 5.0)
     i_val = (
         integrate_profile_expression(prof, lambda r: prof.deriv2(r) ** 2, nbar - 1.0)
-        + float(co.a_n)
-        * integrate_profile_expression(prof, lambda r: prof.deriv(r) ** 2, nbar - 3.0)
+        + float(co.a_n) * prof.integral_deriv_power(2.0, nbar - 3.0)
         + float(co.b_n) * mass
     )
     bound = float(co.d_n) * mass

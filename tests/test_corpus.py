@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import ceil
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,12 @@ from dunkl_lab.corpus import (
     shifted_gaussian,
 )
 from dunkl_lab.domains import DomainSpec, distance_data
-from dunkl_lab.quad import jitter_off_hyperplanes, sphere_rule, sphere_weight_integral
+from dunkl_lab.quad import (
+    jitter_off_hyperplanes,
+    sphere_rule,
+    sphere_weight_integral,
+    weighted_sphere,
+)
 
 
 def test_bumps_register_cleanly(rng):
@@ -91,3 +99,57 @@ def test_separable_mode_constants_ignore_hyperplane_jitter():
     plain = separable_mode(rs, prof, p, rule=rule)
     moved = separable_mode(rs, prof, p, rule=jitter_off_hyperplanes(rule, rs))
     assert (plain.c0, plain.c1, plain.c2) == (moved.c0, moved.c1, moved.c2)
+
+
+@pytest.mark.parametrize(
+    "family, rank, k",
+    [
+        ("A", 2, [Fraction(1, 2)]),
+        ("B", 3, [Fraction(1, 2), 1]),
+        ("Z2", 3, Fraction(1, 3)),
+        ("A", 3, [1]),
+        ("I2", 4, Fraction(1, 2)),
+    ],
+    ids=["A2", "B3", "Z2^3", "A3", "I2(4)"],
+)
+def test_separable_mode_moments_match_nodal_sums(family, rank, k):
+    # c0, c1, c2 are moments of exact polynomials; they must equal the sums
+    # of w p^2, w |T p|^2 and w p <xi, T p> over the weighted sphere
+    from dunkl_lab.harmonics import kernel_basis
+    from dunkl_lab.polyalg import dunkl_gradient_sym
+    from dunkl_lab.reflection import build_root_system
+
+    rs = build_root_system(family, rank, k)
+    prof = bump_radial_profile(1.4, 0.7)
+    for n in range(4):
+        rule = sphere_rule(rs.dimension, max(1, 2 * n + ceil(2 * rs.gamma)))
+        xi, w = weighted_sphere(rs, rule)
+        for p in kernel_basis(rs, n):
+            mf = separable_mode(rs, prof, p, rule=rule)
+            pv = p.evaluate(xi)
+            G = np.column_stack([q.evaluate(xi) for q in dunkl_gradient_sym(rs, p)])
+            nodal = (
+                np.sum(w * pv**2),
+                np.sum(w * np.sum(G**2, axis=1)),
+                np.sum(w * pv * np.einsum("mi,mi->m", xi, G)),
+            )
+            scale = 1e-14 * (nodal[0] + nodal[1])
+            for got, want in zip((mf.c0, mf.c1, mf.c2), nodal):
+                assert abs(got - want) <= scale, (n, p, got, want)
+
+
+def test_mode_corpus_reads_one_weighted_sphere(rs_z23, rng, monkeypatch):
+    # every harmonic of a corpus shares one moment table, so omega_k is
+    # evaluated on the sphere rule once per call, not once per harmonic
+    import dunkl_lab.quad as quad
+
+    calls = []
+    inner = quad.weight
+
+    def counted(rs, X):
+        calls.append(len(X))
+        return inner(rs, X)
+
+    monkeypatch.setattr(quad, "weight", counted)
+    mode_corpus(rs_z23, rng, 12, degrees=(0, 1, 2))
+    assert len(calls) == 1
