@@ -15,13 +15,11 @@ from .reflection import (
 )
 from .polyalg import (
     ExactDivisionError,
-    LaplacianMismatchError,
     Polynomial,
     constant,
     dunkl_apply,
     dunkl_gradient_sym,
     dunkl_laplacian_fast,
-    dunkl_laplacian_sym,
     norm_squared,
     variable,
 )

@@ -47,7 +47,7 @@ _DEFAULTS = {
 }
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -328,10 +328,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return run_suite(args.suite, cfg)
-    except UsageError as exc:
-        print(f"dunkl-lab: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError is a ValueError
         print(f"dunkl-lab: error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -18,7 +18,6 @@ __all__ = [
     "DistanceData",
     "distance_data",
     "equivariance_check",
-    "rho_pairing",
     "domain_spec_to_json",
     "domain_spec_from_json",
 ]
@@ -136,12 +135,6 @@ def equivariance_check(spec: DomainSpec, rs: RootSystem, samples) -> float:
         rhs = base @ g.T
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
-
-
-def rho_pairing(spec: DomainSpec, rs: RootSystem, x) -> np.ndarray:
-    """<rho(x), grad delta(x)> in closed form: 2 gamma/|x| for radial
-    domains, 0 for the halfspace and the wedge."""
-    return distance_data(spec, rs).rho_pairing(x)
 
 
 def domain_spec_to_json(spec: DomainSpec) -> dict:

@@ -14,7 +14,13 @@ from math import comb
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .polyalg import Polynomial, constant, dunkl_laplacian_fast, norm_squared
+from .polyalg import (
+    Polynomial,
+    _require_exact,
+    constant,
+    dunkl_laplacian_fast,
+    norm_squared,
+)
 from .quad import (
     RadialGrid,
     SphericalRule,
@@ -118,13 +124,6 @@ class HHarmonicBasis:
         """Orthonormal basis values, shape (d, M)."""
         raw = np.array([p.evaluate(points) for p in self.kernel_polys])
         return self.transform @ np.atleast_2d(raw)
-
-
-def _require_exact(rs: RootSystem):
-    if not rs.exact or not all(
-        isinstance(k, (int, Fraction)) for k in rs.multiplicities
-    ):
-        raise ValueError("h-harmonic bases need rational root data")
 
 
 def kernel_basis(rs: RootSystem, n: int) -> list:

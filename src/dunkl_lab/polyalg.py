@@ -15,6 +15,7 @@ so the sqrt(2) scale cancels and every operator output stays rational.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -26,7 +27,6 @@ from .reflection import Root, RootSystem, reflection_matrix
 __all__ = [
     "Polynomial",
     "ExactDivisionError",
-    "LaplacianMismatchError",
     "variable",
     "constant",
     "norm_squared",
@@ -34,11 +34,7 @@ __all__ = [
     "divided_difference",
     "dunkl_apply",
     "dunkl_gradient_sym",
-    "dunkl_laplacian_sym",
     "dunkl_laplacian_fast",
-    "leibniz_check",
-    "commutativity_check",
-    "positive_subsystem_independence",
     "identity_checks",
     "poly_to_json",
     "poly_from_json",
@@ -47,10 +43,6 @@ __all__ = [
 
 class ExactDivisionError(ArithmeticError):
     """A division that must be exact left a remainder (arithmetic bug)."""
-
-
-class LaplacianMismatchError(ArithmeticError):
-    """The two Dunkl-Laplacian formulas disagreed (arithmetic bug)."""
 
 
 def _frac(x) -> Fraction:
@@ -366,30 +358,31 @@ def divided_difference(p: Polynomial, root: Root) -> Polynomial:
     return _divide_by_linear(diff, root.direction)
 
 
-def dunkl_apply(rs: RootSystem, i: int, p: Polynomial, flips=None) -> Polynomial:
-    """T_i p = d_i p + sum_alpha k_alpha alpha_i (p - p o sigma_alpha)/<alpha,x>.
-
-    ``flips`` optionally replaces the fixed positive subsystem by flipping the
-    sign of selected roots (used by the choice-independence check).
-    """
+def _dunkl_terms(rs: RootSystem, p: Polynomial, coords) -> list:
+    """[T_i p for i in coords], with one divided difference per active root
+    that touches coords:
+    T_i p = d_i p + sum_alpha k_alpha alpha_i (p - p o sigma_alpha)/<alpha,x>."""
     _require_exact(rs)
-    out = p.partial(i)
-    roots = rs.positive_roots
-    if flips is None:
-        flips = (1,) * len(roots)
-    for root, k, s in zip(roots, rs.multiplicities, flips):
-        if k == 0:
+    out = [p.partial(i) for i in coords]
+    for root, k in rs.active_roots():
+        touched = [(slot, _frac(root.direction[i]))
+                   for slot, i in enumerate(coords) if root.direction[i] != 0]
+        if not touched:
             continue
-        r = root if s == 1 else root.negate()
-        vi = _frac(r.direction[i])
-        if vi == 0:
-            continue
-        out = out + (k * vi) * divided_difference(p, r)
+        q = divided_difference(p, root)
+        for slot, vi in touched:
+            out[slot] = out[slot] + (k * vi) * q
     return out
 
 
+def dunkl_apply(rs: RootSystem, i: int, p: Polynomial) -> Polynomial:
+    """T_i p, the i-th Dunkl operator of the positive subsystem of rs."""
+    return _dunkl_terms(rs, p, (i,))[0]
+
+
 def dunkl_gradient_sym(rs: RootSystem, p: Polynomial) -> list:
-    return [dunkl_apply(rs, i, p) for i in range(rs.dimension)]
+    """[T_0 p, ..., T_(N-1) p]."""
+    return _dunkl_terms(rs, p, range(rs.dimension))
 
 
 def dunkl_laplacian_fast(rs: RootSystem, p: Polynomial) -> Polynomial:
@@ -414,113 +407,65 @@ def dunkl_laplacian_fast(rs: RootSystem, p: Polynomial) -> Polynomial:
     return out
 
 
-def _laplacian_via_squares(rs: RootSystem, p: Polynomial) -> Polynomial:
-    """Sum over i of T_i T_i p."""
-    out = Polynomial(rs.dimension)
-    for i in range(rs.dimension):
-        out = out + dunkl_apply(rs, i, dunkl_apply(rs, i, p))
-    return out
-
-
-def dunkl_laplacian_sym(rs: RootSystem, p: Polynomial) -> Polynomial:
-    """Dunkl Laplacian computed two independent ways; they must agree exactly."""
-    via_squares = _laplacian_via_squares(rs, p)
-    if via_squares != dunkl_laplacian_fast(rs, p):
-        raise LaplacianMismatchError(
-            "sum of squared Dunkl operators disagrees with the "
-            "gradient/difference formula"
-        )
-    return via_squares
-
-
 # ---------------------------------------------------------------------------
 # identity checks
-
-
-def leibniz_check(rs: RootSystem, u: Polynomial, v: Polynomial, i: int):
-    """Residual of the general product rule for T_i (must be zero).
-
-    Returns (general_residual, short_residual); ``short_residual`` is the
-    residual of T_i(uv) = u T_i v + v T_i u, which is only expected to vanish
-    when u or v is G-invariant, and None-checks are left to the caller.
-    """
-    _require_exact(rs)
-    tuv = dunkl_apply(rs, i, u * v)
-    base = v * dunkl_apply(rs, i, u) + u * dunkl_apply(rs, i, v)
-    corr = Polynomial(u.nvars)
-    for root, k in rs.active_roots():
-        vi = _frac(root.direction[i])
-        if vi == 0:
-            continue
-        du = u - reflect_poly(u, root)
-        dv = v - reflect_poly(v, root)
-        if du.is_zero() or dv.is_zero():
-            continue
-        corr = corr + (k * vi) * _divide_by_linear(du * dv, root.direction)
-    general = tuv - (base - corr)
-    short = tuv - base
-    return general, short
-
-
-def is_invariant(rs: RootSystem, p: Polynomial) -> bool:
-    """Invariance under the generating reflections (hence under all of G)."""
-    return all(reflect_poly(p, r) == p for r in rs.positive_roots)
-
-
-def commutativity_check(rs: RootSystem, i: int, j: int, p: Polynomial):
-    """T_i T_j p == T_j T_i p exactly; returns (ok, difference)."""
-    a = dunkl_apply(rs, i, dunkl_apply(rs, j, p))
-    b = dunkl_apply(rs, j, dunkl_apply(rs, i, p))
-    return a == b, a - b
-
-
-def positive_subsystem_independence(rs: RootSystem, flips, p: Polynomial, i: int) -> bool:
-    """Dunkl operators do not depend on the choice of positive subsystem."""
-    ref = dunkl_apply(rs, i, p)
-    alt = dunkl_apply(rs, i, p, flips=tuple(flips))
-    return ref == alt
 
 
 def identity_checks(rs: RootSystem, polys) -> list:
     """The exact identity suite over a list of polynomials.
 
-    Per polynomial (index idx): T_i T_j = T_j T_i, the two Dunkl-Laplacian
-    routes, the general and the invariant-factor product rules, the divided
-    difference against one positive root, and independence of the positive
-    subsystem, with i = idx mod N and j = idx+1 mod N.  Returns
-    (name, ok, residual) entries; an identity holds exactly or not at all,
-    so residual is 0.0 or 1.0.
+    Per polynomial p (index idx), with i = idx mod N, j = idx+1 mod N, v the
+    next polynomial of the list and alpha the positive root idx mod m:
+    T_i T_j p = T_j T_i p; sum_l T_l T_l p against dunkl_laplacian_fast; the
+    general product rule for T_i(p v) and the short one for T_i(p |x|^2)
+    (|x|^2 is G-invariant); the divided difference of p against alpha; and
+    T_i p unchanged when every positive root but alpha is negated.  Each
+    polynomial's Dunkl gradient is computed once.  Returns (name, ok,
+    residual) entries; an identity holds exactly or not at all, so residual
+    is 0.0 or 1.0.
     """
     N = rs.dimension
     roots = rs.positive_roots
     m = len(roots)
     inv = norm_squared(N)
+    inv_grad = dunkl_gradient_sym(rs, inv)
+    grads = [dunkl_gradient_sym(rs, p) for p in polys]
     out = []
-    for idx, p in enumerate(polys):
+    for idx, (p, grad) in enumerate(zip(polys, grads)):
         i, j = idx % N, (idx + 1) % N
         root = roots[idx % m]
-        lin = Polynomial(
-            N,
-            {
-                tuple(1 if t == axis else 0 for t in range(N)): c
-                for axis, c in enumerate(root.direction)
-                if c
-            },
-        )
-        general, _ = leibniz_check(rs, p, polys[(idx + 1) % len(polys)], i)
-        _, short = leibniz_check(rs, p, inv, i)
-        flips = tuple(1 if t == idx % m else 0 for t in range(m))
+        nxt = (idx + 1) % len(polys)
+        v, v_grad = polys[nxt], grads[nxt]
+        squares = Polynomial(N)
+        for l in range(N):
+            squares = squares + dunkl_apply(rs, l, grad[l])
+        # T_i(pv) = v T_i p + p T_i v - sum_alpha k alpha_i (p - p o sigma)
+        # (v - v o sigma)/<alpha, x>; the correction is built without
+        # divided_difference, so that this rule checks it
+        corr = Polynomial(N)
+        for r, k in rs.active_roots():
+            if r.direction[i] == 0:
+                continue
+            dp, dv = p - reflect_poly(p, r), v - reflect_poly(v, r)
+            if not (dp.is_zero() or dv.is_zero()):
+                corr = corr + (k * _frac(r.direction[i])) * _divide_by_linear(
+                    dp * dv, r.direction)
+        general = dunkl_apply(rs, i, p * v) - (v * grad[i] + p * v_grad[i] - corr)
+        short = dunkl_apply(rs, i, p * inv) - (inv * grad[i] + p * inv_grad[i])
+        lin = Polynomial(N, {tuple(int(t == axis) for t in range(N)): c
+                             for axis, c in enumerate(root.direction) if c})
+        flipped = replace(rs, positive_roots=tuple(
+            r if t == idx % m else r.negate() for t, r in enumerate(roots)))
         checks = (
-            ("commutativity", commutativity_check(rs, i, j, p)[0]),
-            ("laplacian_routes",
-             _laplacian_via_squares(rs, p) == dunkl_laplacian_fast(rs, p)),
+            ("commutativity",
+             dunkl_apply(rs, i, grad[j]) == dunkl_apply(rs, j, grad[i])),
+            ("laplacian_routes", squares == dunkl_laplacian_fast(rs, p)),
             ("leibniz_general", general.is_zero()),
             ("leibniz_invariant", short.is_zero()),
             ("divided_difference",
              (lin * divided_difference(p, root) - (p - reflect_poly(p, root)))
              .is_zero()),
-            ("subsystem_independence",
-             positive_subsystem_independence(rs, flips, p, i)),
+            ("subsystem_independence", dunkl_apply(flipped, i, p) == grad[i]),
         )
         out.extend((f"{name}/{idx}", ok, 0.0 if ok else 1.0) for name, ok in checks)
     return out

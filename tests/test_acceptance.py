@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dunkl_lab.corpus import domain_bump_corpus, mode_corpus
-from dunkl_lab.domains import DomainSpec, distance_data, equivariance_check, rho_pairing
+from dunkl_lab.domains import DomainSpec, distance_data, equivariance_check
 from dunkl_lab.harmonics import (
     hharmonic_dim,
     kernel_basis,
@@ -51,25 +51,25 @@ def _sweep(kind, N, gamma, p=None):
     return sharpness_sweep(kind, N, gamma, p=p)
 
 
-_SWEEP_CONFIGS = []  # populated lazily for the oracle-equivalence criterion
-
-
-def _record(sweep):
-    _SWEEP_CONFIGS.append(sweep)
-    return sweep
+# the sweeps of criteria 1-5 as (N, gamma, p) per functional; criterion 11
+# re-reads them through the cache; hardy_p runs at p = Nbar+1, Nbar+2 and 5
+SWEEPS = {
+    "hardy_p": ((3, 0.5, 5.0), (3, 1.0, 7.0), (4, 0.0, 5.0)),
+    "hardy_2": ((3, 0.5, None), (3, 1.0, None), (4, 0.0, None)),
+    "rellich": ((5, 0.0, None), (5, 0.5, None), (6, 1.0, None)),
+    "weighted_hr": ((5, 0.0, None), (5, 1.0, None)),
+    "hardy_rellich": ((5, 0.0, None), (7, 1.0, None)),
+}
 
 
 # -- 1. sharp L^p Hardy ------------------------------------------------------
 
 
 def test_criterion_1_sharp_lp_hardy():
-    cases = [(3, 0.5, None), (3, 1.0, None), (4, 0.0, 5.0)]
-    for N, gamma, p in cases:
+    for N, gamma, p in SWEEPS["hardy_p"]:
         nbar = N + 2.0 * gamma
-        if p is None:
-            p = nbar + (1.0 if gamma == 0.5 else 2.0)
         start = time.monotonic()
-        sweep = _record(_sweep("hardy_p", N, gamma, p))
+        sweep = _sweep("hardy_p", N, gamma, p)
         assert time.monotonic() - start < 10.0
         target = ((p - nbar) / p) ** p
         assert sweep.target == pytest.approx(target, rel=1e-14)
@@ -83,9 +83,9 @@ def test_criterion_1_sharp_lp_hardy():
 
 def test_criterion_2_sharp_l2_hardy():
     start = time.monotonic()
-    for N, gamma in ((3, 0.5), (3, 1.0), (4, 0.0)):
+    for N, gamma, p in SWEEPS["hardy_2"]:
         nbar = N + 2.0 * gamma
-        sweep = _record(_sweep("hardy_2", N, gamma))
+        sweep = _sweep("hardy_2", N, gamma, p)
         target = ((nbar - 2.0) / 2.0) ** 2
         assert abs(sweep.extrapolated_oracle - target) / target < 0.01
         assert sweep.converged
@@ -97,9 +97,9 @@ def test_criterion_2_sharp_l2_hardy():
 
 def test_criterion_3_rellich():
     start = time.monotonic()
-    for N, gamma in ((5, 0.0), (5, 0.5), (6, 1.0)):
+    for N, gamma, p in SWEEPS["rellich"]:
         nbar = N + 2.0 * gamma
-        sweep = _record(_sweep("rellich", N, gamma))
+        sweep = _sweep("rellich", N, gamma, p)
         target = nbar**2 * (nbar - 4.0) ** 2 / 16.0
         assert abs(sweep.extrapolated_oracle - target) / target < 0.02
         assert sweep.converged
@@ -116,9 +116,10 @@ def test_criterion_4_weighted_hardy_rellich():
         (5, 1.0): build_root_system("Z2", 5, [1, 0, 0, 0, 0]),
     }
     rng = np.random.default_rng(2024)
-    for (N, gamma), rs in configs.items():
+    for N, gamma, p in SWEEPS["weighted_hr"]:
+        rs = configs[N, gamma]
         nbar = N + 2.0 * gamma
-        sweep = _record(_sweep("weighted_hr", N, gamma))
+        sweep = _sweep("weighted_hr", N, gamma, p)
         target = (nbar - 2.0) ** 2 / 4.0
         assert abs(sweep.extrapolated_oracle - target) / target < 0.02
         assert sweep.converged
@@ -143,10 +144,11 @@ def test_criterion_5_hardy_rellich():
                    (0, 1, 2), sphere_rule(7, 6)),
     }
     rng = np.random.default_rng(2025)
-    for (N, gamma), (rs, degrees, rule) in configs.items():
+    for N, gamma, p in SWEEPS["hardy_rellich"]:
+        rs, degrees, rule = configs[N, gamma]
         assert N >= 5 + 2 * gamma
         nbar = N + 2.0 * gamma
-        sweep = _record(_sweep("hardy_rellich", N, gamma))
+        sweep = _sweep("hardy_rellich", N, gamma, p)
         target = nbar**2 / 4.0
         assert abs(sweep.extrapolated_oracle - target) / target < 0.02
         assert sweep.converged
@@ -287,12 +289,13 @@ def test_criterion_9_geometry():
     r = np.linalg.norm(X, axis=1)
     gamma = float(rs.gamma)
     ball = DomainSpec("exterior_ball", 3, radius=0.1)
-    assert np.max(np.abs(rho_pairing(ball, rs, X) - 2.0 * gamma / r)) < 1e-12
+    pairing = distance_data(ball, rs).rho_pairing(X)
+    assert np.max(np.abs(pairing - 2.0 * gamma / r)) < 1e-12
     wedge = DomainSpec("wedge_SN", 3)
-    assert np.max(np.abs(rho_pairing(wedge, rs, X))) < 1e-12
+    assert np.max(np.abs(distance_data(wedge, rs).rho_pairing(X))) < 1e-12
     half_rs = embed_root_system(build_root_system("Z2", 2, 1), 3)
     half = DomainSpec("halfspace", 3, axis=2)
-    assert np.max(np.abs(rho_pairing(half, half_rs, X))) < 1e-12
+    assert np.max(np.abs(distance_data(half, half_rs).rho_pairing(X))) < 1e-12
     for spec, sys in ((ball, rs), (wedge, rs), (half, half_rs)):
         assert equivariance_check(spec, sys, X) < 1e-12
     assert time.monotonic() - start < 5.0
@@ -325,10 +328,11 @@ def test_criterion_10_mode_algebra():
 
 
 def test_criterion_11_oracle_equivalence():
-    # every sweep executed above must have matched its closed-form oracle
-    # to 1e-6 relative at each epsilon >= 1e-3 (sharpness_sweep raises
-    # OracleMismatchError otherwise); re-assert the recorded agreements
-    assert _SWEEP_CONFIGS, "sweep criteria must run before this check"
-    for sweep in _SWEEP_CONFIGS:
-        assert sweep.oracle_agreement <= 1e-6
-        assert min(sweep.epsilons) >= 1e-3
+    # every sweep of criteria 1-5 must match its closed-form oracle to 1e-6
+    # relative at each epsilon >= 1e-3 (sharpness_sweep raises
+    # OracleMismatchError otherwise); re-assert the agreements
+    for kind, cases in SWEEPS.items():
+        for N, gamma, p in cases:
+            sweep = _sweep(kind, N, gamma, p)
+            assert sweep.oracle_agreement <= 1e-6
+            assert min(sweep.epsilons) >= 1e-3

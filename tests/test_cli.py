@@ -148,3 +148,13 @@ def test_internal_fault_exits_3(tmp_path, capsys):
                      "--k", "1", "--p", "200", "--out", str(tmp_path / "o")])
     assert code == 3
     assert "internal arithmetic fault" in capsys.readouterr().err
+
+
+def test_negated_divided_difference_is_an_arithmetic_fault(tmp_path, monkeypatch,
+                                                           capsys):
+    original = polyalg.divided_difference
+    monkeypatch.setattr(polyalg, "divided_difference",
+                        lambda p, root: -original(p, root))
+    assert _run(["verify", "identities", "--family", "B", "--rank", "2",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "internal arithmetic fault" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from dunkl_lab.domains import (
     domain_spec_from_json,
     domain_spec_to_json,
     equivariance_check,
-    rho_pairing,
 )
 from dunkl_lab.reflection import build_root_system, embed_root_system
 
@@ -42,9 +41,10 @@ def test_rho_pairing_closed_forms(rs_a2, rng):
     r = np.linalg.norm(X, axis=1)
     g = float(rs_a2.gamma)
     ball = DomainSpec("exterior_ball", 3, radius=0.5)
-    assert np.allclose(rho_pairing(ball, rs_a2, X), 2.0 * g / r, atol=1e-12)
+    assert np.allclose(distance_data(ball, rs_a2).rho_pairing(X), 2.0 * g / r,
+                       atol=1e-12)
     wedge = DomainSpec("wedge_SN", 3)
-    assert np.max(np.abs(rho_pairing(wedge, rs_a2, X))) == 0.0
+    assert np.max(np.abs(distance_data(wedge, rs_a2).rho_pairing(X))) == 0.0
 
 
 def test_rho_pairing_matches_direct_sum(rs_a2, rng):
