@@ -14,7 +14,7 @@ import numpy as np
 
 from .dunklnum import SmoothFunction
 from .inequalities import ModeFunction
-from .polyalg import Polynomial, dunkl_gradient_sym, variable
+from .polyalg import Polynomial, constant, dunkl_gradient_sym, variable
 from .profiles import PiecewiseProfile, PolyPiece, PowerPiece
 from .quad import sphere_moments, sphere_rule
 
@@ -113,23 +113,9 @@ def bump_radial_profile(center: float, width: float) -> PiecewiseProfile:
 
 
 def radial_shell_bump(center: float, width: float, dimension: int) -> SmoothFunction:
-    """Radial function u(x) = g(|x|) from the polynomial shell profile."""
-    g = bump_radial_profile(center, width)
-
-    def value(X):
-        return g.value(np.linalg.norm(np.atleast_2d(X), axis=1))
-
-    def gradient(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        r = np.linalg.norm(X, axis=1)
-        return (g.deriv(r) / r)[:, None] * X
-
-    def laplacian(X):
-        r = np.linalg.norm(np.atleast_2d(X), axis=1)
-        return g.deriv2(r) + (dimension - 1.0) * g.deriv(r) / r
-
-    return SmoothFunction(value, gradient, laplacian, radial=True,
-                          dimension=dimension)
+    """Radial function u(x) = g(|x|) from the polynomial shell profile: the
+    degree-0 mode, with Hessian g'' xh xh^T + (g'/r)(I - xh xh^T), xh = x/|x|."""
+    return mode_function(bump_radial_profile(center, width), constant(dimension, 1))
 
 
 def mode_function(profile: PiecewiseProfile, p: Polynomial) -> SmoothFunction:
@@ -140,9 +126,10 @@ def mode_function(profile: PiecewiseProfile, p: Polynomial) -> SmoothFunction:
     n = p.degree()
     N = p.nvars
     grads = [p.partial(i) for i in range(N)]
+    hess_p = [[q.partial(j) for j in range(N)] for q in grads]
     lap_p = Polynomial(N)
     for i in range(N):
-        lap_p = lap_p + grads[i].partial(i)
+        lap_p = lap_p + hess_p[i][i]
 
     def value(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -170,7 +157,21 @@ def mode_function(profile: PiecewiseProfile, p: Polynomial) -> SmoothFunction:
             + g * lap_p.evaluate(X)
         )
 
-    return SmoothFunction(value, gradient, laplacian, dimension=N)
+    def hessian(X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        r = np.linalg.norm(X, axis=1)
+        g, g1, g2 = profile.value(r), profile.deriv(r), profile.deriv2(r)
+        pv = p.evaluate(X)
+        dp = np.column_stack([q.evaluate(X) for q in grads])
+        # (g'' - g'/r) p xh xh^T + (g'/r)(p I + x dp^T + dp x^T) + g Hess p
+        H = np.einsum("m,mi,mj->mij", (g2 - g1 / r) * pv / r**2, X, X)
+        H += (g1 / r * pv)[:, None, None] * np.eye(N)
+        XD = np.einsum("m,mi,mj->mij", g1 / r, X, dp)
+        H += XD + XD.transpose(0, 2, 1)
+        Hp = np.array([[q.evaluate(X) for q in row] for row in hess_p])
+        return H + g[:, None, None] * np.moveaxis(Hp, -1, 0)
+
+    return SmoothFunction(value, gradient, laplacian, hessian, dimension=N)
 
 
 def _default_mode_rule(rs, n: int):

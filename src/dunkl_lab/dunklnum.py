@@ -1,10 +1,11 @@
 """Numeric Dunkl calculus on black-box functions.
 
 Functions are registered with analytic value/gradient/laplacian callables,
-all vectorized over (M, N) batches of points.  Near reflection hyperplanes
-the difference quotients switch to their Taylor limits (first order for the
-gradient term, second order for the Laplacian's squared denominator, which
-needs the Hessian).
+all vectorized over (M, N) batches of points; radial functions take the
+same path as any other.  Near a reflection hyperplane each difference
+quotient switches to its Taylor limit: the gradient's below |<alpha, x>| =
+HYPERPLANE_RTOL |x| (1e-8), reading the classical <grad f, alpha>, and the
+Laplacian's below eps^(1/3) |x| (6e-6), reading alpha^T Hess(f) alpha / 2.
 """
 
 from __future__ import annotations
@@ -24,11 +25,15 @@ __all__ = [
 
 _PROBE_RNG_SEED = 20240517
 _PROBE_STEP = 1e-5  # central-difference step of the registration check
+# The Laplacian's quotient has rounding error ~ eps |f| / t^2 and its Taylor
+# limit an error ~ t |D^3 f|; they balance at t ~ eps^(1/3).
+_SECOND_ORDER_RTOL = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 @dataclass
 class SmoothFunction:
-    """value: (M,N)->(M,); gradient: (M,N)->(M,N); laplacian: (M,N)->(M,).
+    """value: (M,N)->(M,); gradient: (M,N)->(M,N); laplacian: (M,N)->(M,);
+    hessian: (M,N)->(M,N,N), read only by the Laplacian's hyperplane limit.
 
     The analytic gradient is spot-checked against central finite differences
     at registration; silent finite differencing is never used afterwards.
@@ -37,8 +42,7 @@ class SmoothFunction:
     value: object
     gradient: object
     laplacian: object | None = None
-    hessian: object | None = None  # (M,N)->(M,N,N), for hyperplane fallback
-    radial: bool = False
+    hessian: object | None = None
     dimension: int | None = None
     check: bool = field(default=True, repr=False)
 
@@ -71,10 +75,24 @@ class SmoothFunction:
             )
 
 
-def _as_batch(x, dim):
+def _as_batch(x):
     X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    return np.atleast_2d(X), single
+    return np.atleast_2d(X), X.ndim == 1
+
+
+def _reflection_differences(rs: RootSystem, f: SmoothFunction, X, rtol: float):
+    """Per active root: (alpha, k_alpha, t, near, f(x) - f(sigma_alpha x)),
+    with t = <alpha, x> and near = |t| < rtol |x|.  f(x) is evaluated once,
+    and only if some root is active."""
+    nx = np.linalg.norm(X, axis=1)
+    fx = None
+    for root, k in rs.active_roots():
+        a = root.vector
+        t = X @ a
+        if fx is None:
+            fx = np.asarray(f.value(X), dtype=float)
+        fs = np.asarray(f.value(X - np.multiply.outer(t, a)), dtype=float)
+        yield a, float(k), t, np.abs(t) < rtol * nx, fx - fs
 
 
 def dunkl_gradient(rs: RootSystem, f: SmoothFunction, x) -> np.ndarray:
@@ -82,61 +100,38 @@ def dunkl_gradient(rs: RootSystem, f: SmoothFunction, x) -> np.ndarray:
 
     Accepts a single point or an (M, N) batch; returns matching shape.
     """
-    X, single = _as_batch(x, rs.dimension)
-    G = np.array(f.gradient(X), dtype=float)
-    if not f.radial:
-        nx = np.linalg.norm(X, axis=1)
-        fx = None
-        for root, k in rs.active_roots():
-            a = root.vector
-            t = X @ a
-            if fx is None:
-                fx = np.asarray(f.value(X), dtype=float)
-            fs = np.asarray(f.value(X - np.multiply.outer(t, a)), dtype=float)
-            near = np.abs(t) < HYPERPLANE_RTOL * nx
-            safe_t = np.where(near, 1.0, t)
-            ratio = np.where(near, G @ a, (fx - fs) / safe_t)
-            G += float(k) * np.multiply.outer(ratio, a)
-    return G[0] if single else G
+    X, single = _as_batch(x)
+    G = np.asarray(f.gradient(X), dtype=float)
+    D = G.copy()
+    for a, k, t, near, d in _reflection_differences(rs, f, X, HYPERPLANE_RTOL):
+        ratio = np.where(near, G @ a, d / np.where(near, 1.0, t))
+        D += k * np.multiply.outer(ratio, a)
+    return D[0] if single else D
 
 
 def dunkl_laplacian_num(rs: RootSystem, f: SmoothFunction, x) -> np.ndarray:
     """Classical Laplacian plus the reflection-difference correction terms."""
     if f.laplacian is None:
         raise ValueError("function registered without a classical laplacian")
-    X, single = _as_batch(x, rs.dimension)
+    X, single = _as_batch(x)
     L = np.array(f.laplacian(X), dtype=float)
-    nx = np.linalg.norm(X, axis=1)
-    if f.radial:
-        # difference terms vanish; <rho, grad f> = 2*gamma*<grad f, x>/|x|^2
-        g = float(rs.gamma)
-        if g != 0.0:
-            G = np.asarray(f.gradient(X), dtype=float)
-            L += 2.0 * g * np.einsum("ij,ij->i", G, X) / nx**2
-        return L[0] if single else L
     G = np.asarray(f.gradient(X), dtype=float)
-    fx = np.asarray(f.value(X), dtype=float)
     H = None
-    for root, k in rs.active_roots():
-        a = root.vector
-        t = X @ a
-        near = np.abs(t) < HYPERPLANE_RTOL * nx
-        fs = np.asarray(f.value(X - np.multiply.outer(t, a)), dtype=float)
-        ga = G @ a
+    for a, k, t, near, d in _reflection_differences(rs, f, X, _SECOND_ORDER_RTOL):
         safe_t = np.where(near, 1.0, t)
-        bracket = ga / safe_t - (fx - fs) / safe_t**2
+        bracket = (G @ a) / safe_t - d / safe_t**2
         if np.any(near):
             if f.hessian is None:
                 raise SingularPointError(
-                    "point on a reflection hyperplane and no Hessian supplied "
-                    "for the second-order Taylor fallback"
+                    "point near a reflection hyperplane and no Hessian "
+                    "supplied for the second-order Taylor fallback"
                 )
             if H is None:
                 H = np.asarray(f.hessian(X), dtype=float)
             # limit of <grad f,a>/t - (f - f o sigma)/t^2 as t -> 0
             taylor = 0.5 * np.einsum("i,mij,j->m", a, H, a)
             bracket = np.where(near, taylor, bracket)
-        L += 2.0 * float(k) * bracket
+        L += 2.0 * k * bracket
     return L[0] if single else L
 
 

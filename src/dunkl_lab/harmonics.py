@@ -200,9 +200,7 @@ def sphere_eigencheck(rs: RootSystem, p: Polynomial) -> Polynomial:
     if not p.is_homogeneous():
         raise ValueError("eigencheck needs a homogeneous polynomial")
     n = p.degree()
-    nbar = Fraction(rs.dimension) + 2 * sum(
-        Fraction(k) for k in rs.multiplicities
-    )
+    nbar = Fraction(rs.dimension) + 2 * rs.gamma
     lap = dunkl_laplacian_fast(rs, norm_squared(p.nvars) * p)
     return lap - ((n + 2) * (n + nbar) + eigenvalue(n, nbar)) * p
 

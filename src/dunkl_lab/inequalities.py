@@ -385,7 +385,6 @@ class ModeCoefficients:
     b_n: Fraction
     d_n: Fraction
     c: Fraction
-    certificate: Fraction  # quadratic certificate for the weighted functional
 
 
 def mode_coefficients(N: int, gamma, n: int, C) -> ModeCoefficients:
@@ -397,9 +396,7 @@ def mode_coefficients(N: int, gamma, n: int, C) -> ModeCoefficients:
     a_n = nbar - 2 * lam - 1 - C
     b_n = Fraction(0) if n == 0 else lam * (lam - 2 * (nbar - 4) + C) - 4 * C * g
     d_n = lam * (lam - (nbar**2 - 8 * nbar) / 4) - nbar**2 * g
-    q = (nbar - 2) ** 2 / 4
-    certificate = (q - C) * q + lam * (lam + C - 2 * q)
-    return ModeCoefficients(n, lam, a_n, b_n, d_n, C, certificate)
+    return ModeCoefficients(n, lam, a_n, b_n, d_n, C)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from math import pi
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .reflection import RootSystem, reflect, weight
+from .dunklnum import dunkl_gradient
+from .reflection import HYPERPLANE_RTOL, RootSystem, reflect, weight
 
 __all__ = [
     "SphericalRule",
@@ -154,8 +155,8 @@ def _rotation(N: int, i: int, j: int, angle: float) -> np.ndarray:
 
 def jitter_off_hyperplanes(rule: SphericalRule, rs: RootSystem) -> SphericalRule:
     """Rotate all nodes by a fixed small angle if any node sits on a
-    reflection hyperplane (within 1e-9); keeps integrands with 1/<alpha,x>
-    factors finite without breaking polynomial exactness."""
+    reflection hyperplane (within HYPERPLANE_RTOL); keeps integrands with
+    1/<alpha,x> factors finite without breaking polynomial exactness."""
     active = [root.vector for root, _ in rs.active_roots()]
     if not active:
         return rule
@@ -163,7 +164,7 @@ def jitter_off_hyperplanes(rule: SphericalRule, rs: RootSystem) -> SphericalRule
     N = rule.dimension
     for attempt in range(6):
         dist = min(np.min(np.abs(nodes @ a)) for a in active)
-        if dist > 1e-9:
+        if dist > HYPERPLANE_RTOL:
             break
         R = _rotation(N, 0, 1 + (attempt % (N - 1)), 1e-3 * (attempt + 1))
         nodes = nodes @ R.T
@@ -326,8 +327,6 @@ def integration_by_parts_residual(
     rs: RootSystem, u, v, i: int, grid: RadialGrid, rule: SphericalRule
 ) -> float:
     """|int T_i(u) v dmu + int u T_i(v) dmu| / (|int T_i(u) v dmu| + 1)."""
-    from .dunklnum import dunkl_gradient
-
     def pairings(X):
         return np.stack([
             dunkl_gradient(rs, u, X)[:, i] * v.value(X),

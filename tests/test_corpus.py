@@ -9,12 +9,14 @@ from dunkl_lab.corpus import (
     bump_radial_profile,
     domain_bump_corpus,
     mode_corpus,
+    mode_function,
     radial_shell_bump,
     random_damped_polynomial,
     separable_mode,
     shifted_gaussian,
 )
 from dunkl_lab.domains import DomainSpec, distance_data
+from dunkl_lab.polyalg import variable
 from dunkl_lab.quad import (
     jitter_off_hyperplanes,
     sphere_rule,
@@ -39,6 +41,24 @@ def test_bump_support(rng):
     assert u.value(inside)[0] > 0.0
     assert np.all(u.value(outside) == 0.0)
     assert np.all(u.gradient(outside) == 0.0)
+
+
+def test_mode_hessians_match_gradient_differences(rng):
+    x, y, z = (variable(i, 3) for i in range(3))
+    prof = bump_radial_profile(1.5, 0.9)
+    X = rng.normal(size=(10, 3))
+    X *= (rng.uniform(0.7, 2.3, size=10) / np.linalg.norm(X, axis=1))[:, None]
+    h = 1e-5
+    for u in (radial_shell_bump(1.5, 0.9, 3),
+              mode_function(prof, x * y - z * z * 2 + x * z)):
+        H = u.hessian(X)
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = h
+            fd = (u.gradient(X + e) - u.gradient(X - e)) / (2.0 * h)
+            assert np.allclose(H[:, :, j], fd, rtol=1e-6, atol=1e-6)
+        assert np.allclose(np.trace(H, axis1=1, axis2=2), u.laplacian(X),
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_bump_radial_profile_needs_offset_support():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dunkl_lab.corpus import radial_shell_bump, shifted_gaussian
+from dunkl_lab.corpus import radial_shell_bump
 from dunkl_lab.dunklnum import (
     SmoothFunction,
     dunkl_gradient,
@@ -70,15 +70,46 @@ def test_numeric_matches_symbolic_laplacian(rs_a2, rng):
     assert np.allclose(lap, expected, rtol=1e-9, atol=1e-9)
 
 
-def test_hyperplane_point_uses_taylor_fallback(rs_b2):
-    u = shifted_gaussian([0.0, 0.0], 1.0)
-    # x1 = x2 lies on the hyperplane of e1 - e2; the difference quotient
-    # degenerates to a directional derivative and must stay finite
-    X = np.array([[0.7, 0.7], [1.2, 1.2]])
-    G = dunkl_gradient(rs_b2, u, X)
-    assert np.all(np.isfinite(G))
-    L = dunkl_laplacian_num(rs_b2, u, X)
-    assert np.all(np.isfinite(L))
+def _on_hyperplane(X, root):
+    a = root.vector
+    return X - np.multiply.outer(X @ a, a) / 2.0
+
+
+def test_hyperplane_point_uses_taylor_fallback(rs_a2, rs_b2, rng):
+    from dunkl_lab.polyalg import variable
+
+    # on each root's hyperplane both quotients take their Taylor limits,
+    # which must read the classical gradient, not the partial Dunkl sum
+    for rs in (rs_a2, rs_b2):
+        x = [variable(i, rs.dimension) for i in range(rs.dimension)]
+        p = x[0] ** 3 + x[0] ** 2 * x[1] * 2 - x[1] ** 2 * x[-1] * 3 + x[-1] ** 3
+        u = _poly_as_smooth(p)
+        grad_sym = dunkl_gradient_sym(rs, p)
+        lap_sym = dunkl_laplacian_fast(rs, p)
+        for root in rs.positive_roots:
+            X = _on_hyperplane(rng.normal(size=(6, rs.dimension)), root)
+            expected = np.column_stack([q.evaluate(X) for q in grad_sym])
+            assert np.allclose(dunkl_gradient(rs, u, X), expected,
+                               rtol=1e-10, atol=1e-10)
+            assert np.allclose(dunkl_laplacian_num(rs, u, X),
+                               lap_sym.evaluate(X), rtol=1e-10, atol=1e-10)
+
+
+def test_laplacian_keeps_digits_near_hyperplanes(rs_b2, rng):
+    from dunkl_lab.polyalg import variable
+
+    x, y = variable(0, 2), variable(1, 2)
+    p = x**3 * y + y**2 * 2 + x**4 + x * y**3 * 3
+    u = _poly_as_smooth(p)
+    lap_sym = dunkl_laplacian_fast(rs_b2, p)
+    for root in rs_b2.positive_roots:
+        base = _on_hyperplane(rng.normal(size=(4, 2)), root)
+        nb = np.linalg.norm(base, axis=1)
+        for rel in np.geomspace(2e-8, 1e-3, 25):
+            # <alpha, X> = rel |base| with |alpha|^2 = 2
+            X = base + np.multiply.outer(rel * nb / 2.0, root.vector)
+            err = np.abs(dunkl_laplacian_num(rs_b2, u, X) - lap_sym.evaluate(X))
+            assert np.max(err) <= 1e-3, (root, rel)
 
 
 def test_laplacian_without_hessian_raises_on_hyperplane(rs_b2):
@@ -95,18 +126,20 @@ def test_laplacian_without_hessian_raises_on_hyperplane(rs_b2):
         dunkl_laplacian_num(rs_b2, u, np.array([[0.9, 0.9]]))
 
 
-def test_radial_shortcut_matches_generic(rs_a2, rng):
-    u = radial_shell_bump(1.5, 0.9, 3)
-    X = rng.normal(size=(30, 3))
-    X *= (1.5 / np.linalg.norm(X, axis=1))[:, None]
-    X += rng.normal(scale=0.05, size=X.shape)
-    lap_radial = dunkl_laplacian_num(rs_a2, u, X)
-    # generic evaluation of the same function without the radial flag
-    v = SmoothFunction(
-        u.value, u.gradient, u.laplacian, dimension=3, check=False
-    )
-    lap_generic = dunkl_laplacian_num(rs_a2, v, X)
-    assert np.allclose(lap_radial, lap_generic, rtol=1e-9, atol=1e-9)
+def test_radial_bump_laplacian_matches_closed_form(rs_a2, rs_b2, rng):
+    from dunkl_lab.corpus import bump_radial_profile
+
+    for rs in (rs_a2, rs_b2):
+        N = rs.dimension
+        nbar = N + 2.0 * float(rs.gamma)
+        u = radial_shell_bump(1.5, 0.9, N)
+        X = rng.normal(size=(30, N))
+        X *= (rng.uniform(0.7, 2.3, size=30) / np.linalg.norm(X, axis=1))[:, None]
+        for Y in [X] + [_on_hyperplane(X, root) for root in rs.positive_roots]:
+            r = np.linalg.norm(Y, axis=1)
+            expected = bump_radial_profile(1.5, 0.9).radial_laplacian(r, nbar)
+            assert np.allclose(dunkl_laplacian_num(rs, u, Y), expected,
+                               rtol=1e-9, atol=1e-9)
 
 
 def test_polar_laplacian_matches_full_operator(rs_z23, rng):
@@ -118,6 +151,8 @@ def test_polar_laplacian_matches_full_operator(rs_z23, rng):
     prof = bump_radial_profile(1.4, 0.7)
     u = mode_function(prof, variable(0, 3))
     xi = rng.normal(size=(12, 3))
+    # points on each coordinate hyperplane take the Hessian fallback
+    xi = np.vstack([xi] + [_on_hyperplane(xi[:4], r) for r in rs_z23.positive_roots])
     xi /= np.linalg.norm(xi, axis=1)[:, None]
     for r in (1.0, 1.4, 1.9):
         X = r * xi

@@ -17,7 +17,7 @@ from dunkl_lab.quad import (
     sphere_surface,
     sphere_weight_integral,
 )
-from dunkl_lab.reflection import build_root_system
+from dunkl_lab.reflection import HYPERPLANE_RTOL, build_root_system
 
 
 def _sphere_monomial(exponents):
@@ -57,7 +57,7 @@ def test_sphere_rule_rejects_out_of_range():
 def test_jitter_moves_nodes_off_hyperplanes(rs_z23):
     rule = jitter_off_hyperplanes(sphere_rule(3, 6), rs_z23)
     for root in rs_z23.positive_roots:
-        assert np.min(np.abs(rule.nodes @ root.vector)) > 1e-9
+        assert np.min(np.abs(rule.nodes @ root.vector)) > HYPERPLANE_RTOL
     # jitter is a rotation: weights and norms are untouched
     assert np.allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-12)
 
