@@ -34,7 +34,9 @@ _INF = float("inf")
 
 
 def ball_bump(center, radius: float) -> SmoothFunction:
-    """u = (1 - |x-c|^2/rho^2)^3 inside the ball, 0 outside; C^2 everywhere."""
+    """u = (1 - |x-c|^2/rho^2)^3 inside the ball, 0 outside; C^2 everywhere.
+
+    The ball is the function's declared ``support``."""
     c = np.asarray(center, dtype=float)
     rho2 = float(radius) ** 2
     N = len(c)
@@ -64,7 +66,8 @@ def ball_bump(center, radius: float) -> SmoothFunction:
         H -= 6.0 / rho2 * w[:, None, None] ** 2 * np.eye(N)
         return H
 
-    return SmoothFunction(value, gradient, laplacian, hessian, dimension=N)
+    return SmoothFunction(value, gradient, laplacian, hessian, dimension=N,
+                          support=(c, float(radius)))
 
 
 def shifted_gaussian(center, scale: float) -> SmoothFunction:

@@ -6,6 +6,7 @@ same path as any other.  Near a reflection hyperplane each difference
 quotient switches to its Taylor limit: the gradient's below |<alpha, x>| =
 HYPERPLANE_RTOL |x| (1e-8), reading the classical <grad f, alpha>, and the
 Laplacian's below eps^(1/3) |x| (6e-6), reading alpha^T Hess(f) alpha / 2.
+The origin lies on every hyperplane, so both limits hold there too.
 """
 
 from __future__ import annotations
@@ -14,13 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reflection import HYPERPLANE_RTOL, RootSystem, SingularPointError
+from .reflection import (
+    HYPERPLANE_RTOL,
+    RootSystem,
+    SingularPointError,
+    near_hyperplane,
+    reflect,
+)
 
 __all__ = [
     "SmoothFunction",
     "dunkl_gradient",
     "dunkl_laplacian_num",
-    "polar_laplacian",
+    "dunkl_support",
 ]
 
 _PROBE_RNG_SEED = 20240517
@@ -35,6 +42,10 @@ class SmoothFunction:
     """value: (M,N)->(M,); gradient: (M,N)->(M,N); laplacian: (M,N)->(M,);
     hessian: (M,N)->(M,N,N), read only by the Laplacian's hyperplane limit.
 
+    ``support`` is None or a ball (center, radius) outside of which value,
+    gradient, Laplacian and Hessian are all exactly 0; quadrature may then
+    skip the points outside it (see ``dunkl_support``).
+
     The analytic gradient is spot-checked against central finite differences
     at registration; silent finite differencing is never used afterwards.
     """
@@ -44,6 +55,7 @@ class SmoothFunction:
     laplacian: object | None = None
     hessian: object | None = None
     dimension: int | None = None
+    support: tuple | None = None
     check: bool = field(default=True, repr=False)
 
     def __post_init__(self):
@@ -82,8 +94,8 @@ def _as_batch(x):
 
 def _reflection_differences(rs: RootSystem, f: SmoothFunction, X, rtol: float):
     """Per active root: (alpha, k_alpha, t, near, f(x) - f(sigma_alpha x)),
-    with t = <alpha, x> and near = |t| < rtol |x|.  f(x) is evaluated once,
-    and only if some root is active."""
+    with t = <alpha, x> and near = ``near_hyperplane(t, |x|, rtol)``.  f(x) is
+    evaluated once, and only if some root is active."""
     nx = np.linalg.norm(X, axis=1)
     fx = None
     for root, k in rs.active_roots():
@@ -92,7 +104,7 @@ def _reflection_differences(rs: RootSystem, f: SmoothFunction, X, rtol: float):
         if fx is None:
             fx = np.asarray(f.value(X), dtype=float)
         fs = np.asarray(f.value(X - np.multiply.outer(t, a)), dtype=float)
-        yield a, float(k), t, np.abs(t) < rtol * nx, fx - fs
+        yield a, float(k), t, near_hyperplane(t, nx, rtol), fx - fs
 
 
 def dunkl_gradient(rs: RootSystem, f: SmoothFunction, x) -> np.ndarray:
@@ -135,20 +147,17 @@ def dunkl_laplacian_num(rs: RootSystem, f: SmoothFunction, x) -> np.ndarray:
     return L[0] if single else L
 
 
-def polar_laplacian(nbar: float, modes, r: float, xi) -> float:
-    """Laplacian in polar form from a radial-spectral representation.
+def dunkl_support(rs: RootSystem, f: SmoothFunction):
+    """Balls outside of which f, dunkl_gradient(rs, f) and
+    dunkl_laplacian_num(rs, f) all vanish, or None if f declares no support.
 
-    ``modes`` is a sequence of (lambda_n, radial, angular) with ``radial`` a
-    twice-differentiable callable (scipy spline or similar exposing
-    derivative()) and ``angular`` the sphere factor evaluated at unit xi.
+    The reflection differences are nonlocal: f(sigma_alpha x) is nonzero on
+    the mirror image of f's ball.  So the balls are f's own and, for each
+    active root, its image (sigma_alpha c, radius).
     """
-    if r <= 0.0:
-        raise ValueError("polar chart excludes the origin")
-    xi = np.asarray(xi, dtype=float)
-    total = 0.0
-    for lam, radial, angular in modes:
-        d1 = radial.derivative(1)(r)
-        d2 = radial.derivative(2)(r)
-        u = radial(r)
-        total += (d2 + (nbar - 1.0) * d1 / r + lam * u / r**2) * float(angular(xi))
-    return float(total)
+    if f.support is None:
+        return None
+    center, radius = f.support
+    return [f.support] + [
+        (reflect(root, center), radius) for root, _ in rs.active_roots()
+    ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma as gamma_fn
-from math import pi
+from math import pi, sqrt
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -210,12 +210,50 @@ def sphere_moments(rs: RootSystem, rule: SphericalRule):
     return moment
 
 
-def polar_values(f, r, nodes) -> np.ndarray:
+# A support ball's radius is widened by this share of |c| + rho before its
+# chords are cut, so that rounding never drops a point where f is nonzero.
+_SUPPORT_PAD = 1e-6
+
+
+def _support_mask(r, nodes, support) -> np.ndarray:
+    """(len(r), len(nodes)) mask of the points r_i xi_j inside any ball
+    (c, rho) of ``support``.  On the ray through xi the ball is the chord
+    r in <xi,c>/|xi|^2 +- sqrt(<xi,c>^2 - |xi|^2 (|c|^2 - rho^2))/|xi|^2."""
+    a = np.sum(nodes**2, axis=1)
+    mask = np.zeros((len(r), len(nodes)), dtype=bool)
+    for center, radius in support:
+        c = np.asarray(center, dtype=float)
+        cc = float(c @ c)
+        rho = radius + _SUPPORT_PAD * (radius + sqrt(cc))
+        b = nodes @ c
+        disc = b**2 - a * (cc - rho**2)
+        hit = disc > 0.0
+        s = np.sqrt(np.where(hit, disc, 0.0))
+        lo, hi = (b - s) / a, (b + s) / a
+        mask |= hit & (r[:, None] > lo) & (r[:, None] < hi)
+    return mask
+
+
+def polar_values(f, r, nodes, support=None) -> np.ndarray:
     """f at the points r_i * xi_j, as an array of shape (len(r), len(nodes)),
-    or (K, len(r), len(nodes)) when f returns a (K, M) stack of fields."""
-    X = (r[:, None, None] * nodes[None, :, :]).reshape(-1, nodes.shape[1])
-    vals = np.asarray(f(X), dtype=float)
-    return vals.reshape(vals.shape[:-1] + (len(r), len(nodes)))
+    or (K, len(r), len(nodes)) when f returns a (K, M) stack of fields.
+
+    ``support`` is None or a list of balls (center, radius) outside of which
+    every field of f is exactly 0 (as ``dunklnum.dunkl_support`` gives).
+    Then f is evaluated only at the points inside some ball, and the array
+    is 0 elsewhere.  Each point is computed as r_i * xi_j either way, so as
+    long as that contract holds the array is bit for bit the one without
+    ``support``.
+    """
+    if support is None:
+        X = (r[:, None, None] * nodes[None, :, :]).reshape(-1, nodes.shape[1])
+        vals = np.asarray(f(X), dtype=float)
+        return vals.reshape(vals.shape[:-1] + (len(r), len(nodes)))
+    i, j = np.nonzero(_support_mask(r, nodes, support))
+    vals = np.asarray(f(r[i, None] * nodes[j]), dtype=float)
+    out = np.zeros(vals.shape[:-1] + (len(r), len(nodes)))
+    out[..., i, j] = vals
+    return out
 
 
 def reflected_stack(rs: RootSystem, f):
@@ -294,7 +332,7 @@ def integrate_radial(
 
 
 def integrate_measure(
-    rs: RootSystem, f, grid: RadialGrid, rule: SphericalRule
+    rs: RootSystem, f, grid: RadialGrid, rule: SphericalRule, support=None
 ) -> WeightedIntegral:
     """Integral of f against omega_k(x) dx over the ball of radius R_max.
 
@@ -303,13 +341,18 @@ def integrate_measure(
     grid, and the result then holds (K,) arrays, component k being exactly
     the integral of field k alone.  The error estimate is the difference to
     the same rule at half the nodes per interval.
+
+    ``support`` (see ``polar_values``) lists balls outside of which f is
+    exactly 0; f is then evaluated only inside them, and the sums, and so
+    the result, are the same as without it.  Points outside are never
+    evaluated, so a non-finite value there is not seen.
     """
     nodes, wsph = weighted_sphere(rs, rule)
     exponent = rs.dimension + 2.0 * rs.gamma - 1.0
 
     def total(n):
         r, wr = radial_nodes(grid, n)
-        vals = polar_values(f, r, nodes)
+        vals = polar_values(f, r, nodes, support)
         if not np.all(np.isfinite(vals)):
             *_, i, j = np.argwhere(~np.isfinite(vals))[0]
             raise ValueError(f"integrand not finite at node {r[i] * nodes[j]}")

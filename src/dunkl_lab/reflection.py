@@ -28,6 +28,7 @@ __all__ = [
     "reflection_jacobian",
     "generate_group",
     "weight",
+    "near_hyperplane",
     "rho",
     "sign_flip_field_check",
     "root_system_to_json",
@@ -356,18 +357,25 @@ def weight(rs: RootSystem, x):
     return float(out[0]) if single else out
 
 
+def near_hyperplane(t, nx, rtol: float = HYPERPLANE_RTOL) -> np.ndarray:
+    """|t| < rtol |x| for t = <alpha, x> with |alpha|^2 = 2 and nx = |x|;
+    the origin lies on every hyperplane."""
+    return (np.abs(t) < rtol * nx) | (nx == 0.0)
+
+
 def rho(rs: RootSystem, x):
-    """rho(x) = 2 sum k_alpha alpha / <alpha,x>; requires x off hyperplanes."""
+    """rho(x) = 2 sum k_alpha alpha / <alpha,x>; requires x off hyperplanes,
+    in the sense of ``near_hyperplane``."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)
     nx = np.linalg.norm(X, axis=1)
     out = np.zeros_like(X)
     for root, k in rs.active_roots():
+        if np.any(near_hyperplane(X @ root.vector, nx)):
+            raise SingularPointError(f"point lies on the hyperplane of {root}")
         v = np.array([float(c) for c in root.direction])
         t = X @ v
-        if np.any(np.abs(t) * sqrt(float(root.norm2_direction)) < HYPERPLANE_RTOL * nx):
-            raise SingularPointError(f"point lies on the hyperplane of {root}")
         # 2 k alpha/<alpha,x> = 2 k v/<v,x>
         out += 2.0 * float(k) * np.multiply.outer(1.0 / t, v)
     return out[0] if single else out

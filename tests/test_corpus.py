@@ -3,6 +3,8 @@ from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunkl_lab.corpus import (
     ball_bump,
@@ -41,6 +43,30 @@ def test_bump_support(rng):
     assert u.value(inside)[0] > 0.0
     assert np.all(u.value(outside) == 0.0)
     assert np.all(u.gradient(outside) == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda N: st.tuples(
+        st.lists(st.floats(-3, 3), min_size=N, max_size=N),
+        st.lists(st.floats(-1, 1), min_size=N, max_size=N),
+    )),
+    st.floats(0.05, 2.0),
+    st.floats(1.0 + 1e-9, 4.0),
+)
+def test_ball_bump_vanishes_outside_its_declared_support(vectors, radius, scale):
+    center, direction = (np.array(v) for v in vectors)
+    if np.linalg.norm(direction) < 1e-3:
+        direction = np.eye(len(center))[0]
+    u = ball_bump(center, radius)
+    c, rho = u.support
+    assert np.array_equal(c, center) and rho == radius
+    # points on rays out of the ball, at |x - c| = scale * rho > rho
+    X = c + scale * rho * np.array([direction, -direction]) / np.linalg.norm(direction)
+    assert np.all(u.value(X) == 0.0)
+    assert np.all(u.gradient(X) == 0.0)
+    assert np.all(u.laplacian(X) == 0.0)
+    assert np.all(u.hessian(X) == 0.0)
 
 
 def test_mode_hessians_match_gradient_differences(rng):

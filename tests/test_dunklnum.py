@@ -6,7 +6,6 @@ from dunkl_lab.dunklnum import (
     SmoothFunction,
     dunkl_gradient,
     dunkl_laplacian_num,
-    polar_laplacian,
 )
 from dunkl_lab.polyalg import dunkl_gradient_sym, dunkl_laplacian_fast
 from dunkl_lab.reflection import SingularPointError, build_root_system
@@ -95,6 +94,29 @@ def test_hyperplane_point_uses_taylor_fallback(rs_a2, rs_b2, rng):
                                lap_sym.evaluate(X), rtol=1e-10, atol=1e-10)
 
 
+def test_origin_takes_taylor_limits(rs_a2, rs_b2):
+    from dunkl_lab.corpus import shifted_gaussian
+    from dunkl_lab.polyalg import variable
+
+    # the origin lies on every hyperplane, so both quotients take their limits
+    for rs in (rs_a2, rs_b2):
+        x = [variable(i, rs.dimension) for i in range(rs.dimension)]
+        p = x[0] * 2 + x[1] * 3 + x[0] ** 2 * 5 + x[0] * x[-1] * 3 - x[-1] ** 2
+        u = _poly_as_smooth(p)
+        origin = np.zeros((1, rs.dimension))
+        expected = np.column_stack(
+            [q.evaluate(origin) for q in dunkl_gradient_sym(rs, p)]
+        )
+        assert np.allclose(dunkl_gradient(rs, u, origin), expected,
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(dunkl_laplacian_num(rs, u, origin),
+                           dunkl_laplacian_fast(rs, p).evaluate(origin),
+                           rtol=1e-12, atol=1e-12)
+    g = shifted_gaussian([0.3, 0.1], 1.0)
+    assert np.all(np.isfinite(dunkl_gradient(rs_b2, g, np.zeros(2))))
+    assert np.isfinite(dunkl_laplacian_num(rs_b2, g, np.zeros(2)))
+
+
 def test_laplacian_keeps_digits_near_hyperplanes(rs_b2, rng):
     from dunkl_lab.polyalg import variable
 
@@ -172,18 +194,3 @@ def test_polar_laplacian_matches_full_operator(rs_z23, rng):
             :, 0
         ]
         assert np.allclose(full, expected, rtol=1e-8, atol=1e-8)
-
-
-def test_polar_laplacian_helper():
-    from scipy.interpolate import CubicSpline
-
-    nbar = 7.0
-    rgrid = np.linspace(0.5, 3.0, 600)
-    spline = CubicSpline(rgrid, np.sin(rgrid))
-    lam = -2.0 * (2.0 + nbar - 2.0)
-    r = 1.7
-    got = polar_laplacian(nbar, [(lam, spline, lambda xi: 1.0)], r, np.ones(3))
-    expected = -np.sin(r) + (nbar - 1.0) * np.cos(r) / r + lam * np.sin(r) / r**2
-    assert got == pytest.approx(expected, rel=1e-5)
-    with pytest.raises(ValueError):
-        polar_laplacian(nbar, [], 0.0, np.ones(3))

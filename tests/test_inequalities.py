@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dunkl_lab.corpus import (
     bump_radial_profile,
+    domain_bump_corpus,
     mode_function,
     separable_mode,
 )
@@ -258,6 +260,46 @@ def test_domain_extra_term_lowers_rhs(rs_a2, rule_a2, check):
                 rule_a2,
             ).value
             assert entry["rhs"] < coef * t_p, (name, p, entry)
+
+
+def _domain_reports(rs, corpus, spec, grid, rule):
+    nbar = 3 + 2.0 * float(rs.gamma)
+    for p in (2.0, nbar + 1.0):
+        yield hardy_remainder_check(rs, corpus, spec, p, grid, rule)
+        yield hardy_eps_check(rs, corpus, spec, p, 0.7, grid, rule)
+
+
+def test_domain_checks_on_the_support_match_the_whole_grid(criterion_6_configs):
+    """Skipping the points outside the bumps' balls and their mirror images
+    changes no entry: every lhs, rhs and tolerance is bit-for-bit that of the
+    same bumps without a declared support, evaluated on the whole grid."""
+    rng = np.random.default_rng(5)
+    for _, spec, rs, data, grid, rule in criterion_6_configs:
+        corpus = domain_bump_corpus(data, rng, 3, 4.0)
+        assert all(u.support is not None for _, u in corpus)
+        whole = [(name, dataclasses.replace(u, support=None, check=False))
+                 for name, u in corpus]
+        for fast, slow in zip(_domain_reports(rs, corpus, spec, grid, rule),
+                              _domain_reports(rs, whole, spec, grid, rule)):
+            assert fast == slow, fast.check_id
+
+
+def test_domain_check_reads_the_mirror_balls(criterion_6_configs, monkeypatch):
+    """On wedge/A2 the mirror images lie outside the domain, where the
+    reflection differences of grad_k u are all that is nonzero: dropping
+    them lowers every lhs and leaves every rhs."""
+    import dunkl_lab.inequalities as inequalities
+
+    _, spec, rs, data, grid, rule = next(
+        c for c in criterion_6_configs if c[0] == "wedge/A2"
+    )
+    corpus = domain_bump_corpus(data, np.random.default_rng(6), 3, 4.0)
+    full = list(_domain_reports(rs, corpus, spec, grid, rule))
+    monkeypatch.setattr(inequalities, "dunkl_support", lambda rs, u: [u.support])
+    own = list(_domain_reports(rs, corpus, spec, grid, rule))
+    for a, b in zip(full, own):
+        for e, f in zip(a.entries, b.entries):
+            assert f["lhs"] < e["lhs"] and f["rhs"] == e["rhs"], (a.check_id, e)
 
 
 def test_degenerate_denominator_raises(rs_a2, rule_a2):

@@ -8,6 +8,7 @@ from dunkl_lab.corpus import ball_bump, shifted_gaussian
 from dunkl_lab.quad import (
     DivergenceError,
     RadialGrid,
+    _support_mask,
     integrate_measure,
     integrate_radial,
     integration_by_parts_residual,
@@ -118,6 +119,43 @@ def test_measure_rejects_non_finite_integrand(rs_a2, rule_a2):
         integrate_measure(
             rs_a2, lambda X: np.where(X[:, 0] > 0.5, np.nan, 1.0), grid, rule_a2
         )
+
+
+def test_support_mask_covers_each_ball(rng):
+    r = np.linspace(0.0, 4.0, 97)
+    nodes = sphere_rule(3, 8).nodes
+    X = r[:, None, None] * nodes[None, :, :]
+    # balls off the origin, around it, and missing most rays
+    balls = [(np.array([1.2, -0.5, 2.0]), 0.8), (np.array([0.1, 0.2, 0.0]), 1.5),
+             (rng.normal(size=3), 0.3)]
+    for center, radius in balls:
+        mask = _support_mask(r, nodes, [(center, radius)])
+        dist = np.linalg.norm(X - center, axis=2)
+        assert np.all(mask[dist < radius])
+        assert not np.any(mask[dist > radius * (1.0 + 1e-5) + 1e-5])
+    union = _support_mask(r, nodes, balls)
+    assert np.array_equal(
+        union, np.any([_support_mask(r, nodes, [b]) for b in balls], axis=0)
+    )
+
+
+def test_measure_support_skips_only_zeros(rs_a2, rule_a2):
+    grid = RadialGrid((0.0, 1.0, 2.5), nodes_per_interval=16)
+    u = ball_bump([0.4, 0.2, -0.3], 0.9)
+    ball = [u.support]
+    whole = integrate_measure(rs_a2, u, grid, rule_a2)
+    assert integrate_measure(rs_a2, u, grid, rule_a2, ball) == whole
+    c = u.support[0]
+
+    def nan_near_center(X):
+        return np.where(np.linalg.norm(X - c, axis=1) < 0.3, np.nan, 0.0)
+
+    # a non-finite value inside the support is still found and named
+    with pytest.raises(ValueError, match="not finite at node"):
+        integrate_measure(rs_a2, nan_near_center, grid, rule_a2, ball)
+    # outside the declared balls nothing is evaluated
+    far = [(np.array([-1.5, -1.0, 1.0]), 0.4)]
+    assert integrate_measure(rs_a2, nan_near_center, grid, rule_a2, far).value == 0.0
 
 
 def test_measure_stack_matches_separate_calls(rs_a2, rule_a2):

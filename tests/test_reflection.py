@@ -10,6 +10,7 @@ from dunkl_lab.reflection import (
     SingularPointError,
     build_root_system,
     generate_group,
+    near_hyperplane,
     reflect,
     reflection_jacobian,
     reflection_matrix,
@@ -90,6 +91,21 @@ def test_weight_reflection_invariant(rs_a2, rng):
 def test_rho_singular_point_raises(rs_z23):
     with pytest.raises(SingularPointError):
         rho(rs_z23, np.array([[0.0, 1.0, 1.0]]))
+
+
+def test_rho_shares_the_numeric_hyperplane_cutoff(rs_a2):
+    a = rs_a2.positive_roots[0].vector
+    base = np.array([0.7, -0.4, 1.3])
+    base -= (base @ a) / 2.0 * a
+    # <alpha, x> = 0.8e-8 |x|, where dunklnum takes its Taylor limits
+    x = base + 0.4e-8 * np.linalg.norm(base) * a
+    assert abs(x @ a) == pytest.approx(0.8e-8 * np.linalg.norm(x), rel=1e-6)
+    assert near_hyperplane(x @ a, np.linalg.norm(x))
+    with pytest.raises(SingularPointError):
+        rho(rs_a2, x)
+    with pytest.raises(SingularPointError):
+        rho(rs_a2, np.zeros(3))
+    rho(rs_a2, base + 1e-7 * np.linalg.norm(base) * a)  # off the cut-off
 
 
 def test_rho_matches_closed_form_z2(rs_z23, rng):
