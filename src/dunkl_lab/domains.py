@@ -18,8 +18,6 @@ __all__ = [
     "DistanceData",
     "distance_data",
     "equivariance_check",
-    "domain_spec_to_json",
-    "domain_spec_from_json",
 ]
 
 KINDS = ("punctured_space", "exterior_ball", "halfspace", "wedge_SN")
@@ -135,18 +133,3 @@ def equivariance_check(spec: DomainSpec, rs: RootSystem, samples) -> float:
         rhs = base @ g.T
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
-
-
-def domain_spec_to_json(spec: DomainSpec) -> dict:
-    doc = {"kind": spec.kind, "dimension": spec.dimension}
-    if spec.radius is not None:
-        doc["radius"] = spec.radius
-    if spec.axis is not None:
-        doc["axis"] = spec.axis
-    return doc
-
-
-def domain_spec_from_json(doc: dict) -> DomainSpec:
-    return DomainSpec(
-        doc["kind"], doc["dimension"], doc.get("radius"), doc.get("axis")
-    )

@@ -103,7 +103,7 @@ def _reflection_differences(rs: RootSystem, f: SmoothFunction, X, rtol: float):
         t = X @ a
         if fx is None:
             fx = np.asarray(f.value(X), dtype=float)
-        fs = np.asarray(f.value(X - np.multiply.outer(t, a)), dtype=float)
+        fs = np.asarray(f.value(reflect(root, X)), dtype=float)
         yield a, float(k), t, near_hyperplane(t, nx, rtol), fx - fs
 
 

@@ -58,7 +58,6 @@ __all__ = [
     "sharpness_sweep",
     "alternate_exponent_limit",
     "mode_coefficients",
-    "radial_hardy_1d",
     "mode_functional",
     "full_space_quotient",
     "mode_quotient",
@@ -406,16 +405,6 @@ def mode_coefficients(N: int, gamma, n: int, C) -> ModeCoefficients:
 
 # ---------------------------------------------------------------------------
 # one-dimensional weighted functionals
-
-
-def radial_hardy_1d(exponent: float, prof: PiecewiseProfile) -> float:
-    """int |u'|^2 r^exponent dr / int u^2 r^(exponent-2) dr, which is bounded
-    below by (exponent-1)^2/4 for absolutely continuous u."""
-    num = prof.integral_deriv_power(2.0, exponent)
-    den = prof.integral_value_power(2.0, exponent - 2.0)
-    if den < 1e-300:
-        raise DegenerateInputError("denominator integral vanished")
-    return num / den
 
 
 def mode_functional(N: int, gamma, C, n: int, prof: PiecewiseProfile):

@@ -2,9 +2,11 @@
 
 Everything in this module is exact: coefficients are Fractions, reflections
 act on exponents and signs when sigma_alpha is a signed permutation (every
-built-in exact family: A, B, Z2, I2(1), I2(2), I2(4)) and by exact linear
-substitution otherwise, and divided differences are exact synthetic
-divisions by a linear form.  A floating-point value anywhere in here is a bug.
+built-in exact family: A, B, Z2, I2(1), I2(2), I2(4)), and a hand-built
+rational root whose reflection is not one, such as direction (1, 2), acts by
+exact linear substitution (``Polynomial.compose_linear``).  Divided
+differences are exact synthetic divisions by a linear form.  A
+floating-point value anywhere in here is a bug.
 
 The difference term of a Dunkl operator,
 k_alpha * alpha_i * (p - p o sigma_alpha)/<alpha, x>, is computed with the
@@ -14,7 +16,6 @@ so the sqrt(2) scale cancels and every operator output stays rational.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -36,8 +37,6 @@ __all__ = [
     "dunkl_gradient_sym",
     "dunkl_laplacian_fast",
     "identity_checks",
-    "poly_to_json",
-    "poly_from_json",
 ]
 
 
@@ -329,9 +328,9 @@ def reflect_poly(p: Polynomial, root: Root) -> Polynomial:
 
     When sigma_alpha is a signed permutation each term maps in O(N): its
     exponents are permuted and its coefficient changes sign when the
-    flipped axes carry an odd total power.  Any other rational root (e.g.
-    direction (1, 2) from a JSON root system) falls back to linear
-    substitution through the exact reflection matrix.
+    flipped axes carry an odd total power.  No built-in family has any other
+    root; a hand-built rational one (e.g. direction (1, 2)) falls back to
+    ``compose_linear`` with the exact reflection matrix.
     """
     data = _reflection_data(root)
     if not isinstance(data, _SignedPermutation):
@@ -469,24 +468,3 @@ def identity_checks(rs: RootSystem, polys) -> list:
         )
         out.extend((f"{name}/{idx}", ok, 0.0 if ok else 1.0) for name, ok in checks)
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def poly_to_json(p: Polynomial) -> str:
-    doc = [
-        {"exponents": list(e), "numerator": c.numerator, "denominator": c.denominator}
-        for e, c in sorted(p.terms.items())
-    ]
-    return json.dumps({"nvars": p.nvars, "terms": doc})
-
-
-def poly_from_json(text: str) -> Polynomial:
-    doc = json.loads(text)
-    terms = {
-        tuple(t["exponents"]): Fraction(t["numerator"], t["denominator"])
-        for t in doc["terms"]
-    }
-    return Polynomial(doc["nvars"], terms)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .dunklnum import dunkl_gradient
-from .reflection import HYPERPLANE_RTOL, RootSystem, reflect, weight
+from .reflection import RootSystem, near_hyperplane, reflect, weight
 
 __all__ = [
     "SphericalRule",
@@ -155,16 +155,17 @@ def _rotation(N: int, i: int, j: int, angle: float) -> np.ndarray:
 
 def jitter_off_hyperplanes(rule: SphericalRule, rs: RootSystem) -> SphericalRule:
     """Rotate all nodes by a fixed small angle if any node sits on a
-    reflection hyperplane (within HYPERPLANE_RTOL); keeps integrands with
-    1/<alpha,x> factors finite without breaking polynomial exactness."""
+    reflection hyperplane (in the sense of ``near_hyperplane``); keeps
+    integrands with 1/<alpha,x> factors finite without breaking polynomial
+    exactness."""
     active = [root.vector for root, _ in rs.active_roots()]
     if not active:
         return rule
     nodes = rule.nodes
     N = rule.dimension
     for attempt in range(6):
-        dist = min(np.min(np.abs(nodes @ a)) for a in active)
-        if dist > HYPERPLANE_RTOL:
+        # the nodes are unit vectors, so |x| = 1
+        if not any(np.any(near_hyperplane(nodes @ a, 1.0)) for a in active):
             break
         R = _rotation(N, 0, 1 + (attempt % (N - 1)), 1e-3 * (attempt + 1))
         nodes = nodes @ R.T

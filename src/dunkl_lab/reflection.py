@@ -4,13 +4,14 @@ Roots are normalized so that |alpha|^2 = 2.  Each root is stored as a rational
 direction vector v together with the implied scale c = sqrt(2/|v|^2), so that
 alpha = c*v.  All reflection matrices I - c^2 v v^T are then exact rational
 matrices whenever v is rational, which is what the exact polynomial calculus
-in :mod:`dunkl_lab.polyalg` relies on.
+in :mod:`dunkl_lab.polyalg` relies on.  Float code reads each root's geometry
+(|v|^2, c^2, v and alpha), built once when the root is constructed, and forms
+sigma_alpha x only through :func:`reflect`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
@@ -30,12 +31,10 @@ __all__ = [
     "weight",
     "near_hyperplane",
     "rho",
-    "sign_flip_field_check",
-    "root_system_to_json",
-    "root_system_from_json",
 ]
 
 HYPERPLANE_RTOL = 1e-8
+_MAX_GROUP_ORDER = 20000  # closure guard against an invalid root system
 
 
 class SingularPointError(ValueError):
@@ -65,6 +64,24 @@ class Root:
 
     direction: tuple
     exact: bool = True
+    # derived once in __post_init__ and left out of equality and hash:
+    # |v|^2 and c^2 (exact for exact roots), c^2 as a float, and v and alpha
+    # as read-only float arrays
+    _norm2: object = field(init=False, repr=False, compare=False)
+    _c2: object = field(init=False, repr=False, compare=False)
+    _fc2: float = field(init=False, repr=False, compare=False)
+    _v: np.ndarray = field(init=False, repr=False, compare=False)
+    _alpha: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n2 = sum(x * x for x in self.direction)
+        c2 = Fraction(2) / n2 if self.exact else 2.0 / n2  # c^2 |v|^2 = 2
+        v = np.array([float(x) for x in self.direction])
+        alpha = sqrt(float(c2)) * v
+        v.flags.writeable = alpha.flags.writeable = False
+        for name, value in (("_norm2", n2), ("_c2", c2), ("_fc2", float(c2)),
+                            ("_v", v), ("_alpha", alpha)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -72,19 +89,16 @@ class Root:
 
     @property
     def norm2_direction(self):
-        return sum(v * v for v in self.direction)
+        return self._norm2
 
     @property
     def c2(self):
-        # alpha = c*v with c^2 |v|^2 = 2
-        n2 = self.norm2_direction
-        return Fraction(2) / n2 if self.exact else 2.0 / n2
+        return self._c2
 
     @property
     def vector(self) -> np.ndarray:
-        """alpha as a float vector, |alpha|^2 = 2."""
-        v = np.array([float(x) for x in self.direction])
-        return sqrt(float(self.c2)) * v
+        """alpha as a read-only float vector, |alpha|^2 = 2."""
+        return self._alpha
 
     def negate(self) -> "Root":
         return Root(tuple(-x for x in self.direction), self.exact)
@@ -110,14 +124,6 @@ class RootSystem:
     def gamma(self) -> float:
         return sum(self.multiplicities)
 
-    @property
-    def roots(self) -> tuple:
-        return self.positive_roots + tuple(r.negate() for r in self.positive_roots)
-
-    @property
-    def n_orbits(self) -> int:
-        return max(self.orbit_labels) + 1 if self.orbit_labels else 0
-
     def active_roots(self):
         """(root, k) pairs with k != 0, the only ones entering Dunkl sums."""
         return [
@@ -130,10 +136,6 @@ class ReflectionGroup:
     """Closure of the generating reflections under matrix multiplication."""
 
     elements: tuple  # float (N, N) ndarrays
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +275,16 @@ def reflect(root: Root, x):
     rational input use :func:`reflection_matrix` directly.
     """
     x = np.asarray(x, dtype=float)
-    v = np.array([float(c) for c in root.direction])
-    c2 = float(root.c2)
-    t = x @ v
-    return x - c2 * np.multiply.outer(t, v)
+    v = root._v
+    return x - root._fc2 * np.multiply.outer(x @ v, v)
 
 
-def reflection_matrix(root: Root, exact: bool | None = None):
+def reflection_matrix(root: Root, exact: bool):
     """Matrix of sigma_alpha = I - c^2 v v^T.
 
     With ``exact=True`` returns a tuple-of-tuples of Fractions, otherwise a
     float ndarray.
     """
-    if exact is None:
-        exact = root.exact
     n = root.dim
     if exact:
         if not root.exact:
@@ -300,8 +298,7 @@ def reflection_matrix(root: Root, exact: bool | None = None):
             )
             for i in range(n)
         )
-    v = np.array([float(c) for c in root.direction])
-    return np.eye(n) - float(root.c2) * np.outer(v, v)
+    return np.eye(n) - root._fc2 * np.outer(root._v, root._v)
 
 
 def reflection_jacobian(root: Root) -> float:
@@ -310,7 +307,7 @@ def reflection_jacobian(root: Root) -> float:
     return float(np.linalg.det(np.eye(root.dim) - np.outer(a, a)))
 
 
-def generate_group(rs: RootSystem, max_order: int = 20000) -> ReflectionGroup:
+def generate_group(rs: RootSystem) -> ReflectionGroup:
     """Breadth-first closure of the generating reflections in floating
     point; two products are the same element when their entries agree to
     9 decimals."""
@@ -331,10 +328,10 @@ def generate_group(rs: RootSystem, max_order: int = 20000) -> ReflectionGroup:
                 if k not in seen:
                     seen[k] = p
                     nxt.append(p)
-                    if len(seen) > max_order:
+                    if len(seen) > _MAX_GROUP_ORDER:
                         raise ValueError(
-                            "group closure exceeded max_order; "
-                            "input is not a valid finite root system"
+                            f"group closure exceeded {_MAX_GROUP_ORDER} "
+                            "elements; input is not a valid finite root system"
                         )
         frontier = nxt
     return ReflectionGroup(elements=tuple(seen.values()))
@@ -351,8 +348,7 @@ def weight(rs: RootSystem, x):
     X = np.atleast_2d(x)
     out = np.ones(X.shape[0])
     for root, k in rs.active_roots():
-        v = np.array([float(c) for c in root.direction])
-        t2 = float(root.c2) * (X @ v) ** 2  # <alpha,x>^2
+        t2 = root._fc2 * (X @ root._v) ** 2  # <alpha,x>^2
         out *= t2 ** float(k)
     return float(out[0]) if single else out
 
@@ -374,82 +370,6 @@ def rho(rs: RootSystem, x):
     for root, k in rs.active_roots():
         if np.any(near_hyperplane(X @ root.vector, nx)):
             raise SingularPointError(f"point lies on the hyperplane of {root}")
-        v = np.array([float(c) for c in root.direction])
-        t = X @ v
         # 2 k alpha/<alpha,x> = 2 k v/<v,x>
-        out += 2.0 * float(k) * np.multiply.outer(1.0 / t, v)
+        out += 2.0 * float(k) * np.multiply.outer(1.0 / (X @ root._v), root._v)
     return out[0] if single else out
-
-
-# ---------------------------------------------------------------------------
-# checks
-
-
-@dataclass
-class FieldCheckReport:
-    ok: bool
-    worst: float
-    worst_root: Root | None
-    tolerance: float
-
-
-def sign_flip_field_check(rs, field, samples, tol: float = 1e-10) -> FieldCheckReport:
-    """Verify <alpha, F(sigma_alpha x)> = -<alpha, F(x)> at the given samples.
-
-    ``field`` maps a batch of points (M, N) to vectors (M, N).  Holds for any
-    F = h1*x + h2*grad(delta) with G-invariant h1, h2 on a G-invariant domain.
-    """
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
-    FX = np.atleast_2d(field(X))
-    worst, worst_root = 0.0, None
-    for root in rs.positive_roots:
-        a = root.vector
-        FS = np.atleast_2d(field(reflect(root, X)))
-        resid = np.max(np.abs(FS @ a + FX @ a))
-        if resid > worst:
-            worst, worst_root = resid, root
-    return FieldCheckReport(ok=worst <= tol, worst=worst, worst_root=worst_root, tolerance=tol)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def root_system_to_json(rs: RootSystem) -> str:
-    doc = {
-        "family": rs.family,
-        "rank": rs.rank,
-        "multiplicities": [str(k) for k in rs.multiplicities],
-        "roots": [[str(c) for c in r.direction] for r in rs.positive_roots],
-        "orbits": list(rs.orbit_labels),
-        "dimension": rs.dimension,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def root_system_from_json(text: str) -> RootSystem:
-    doc = json.loads(text)
-    roots = []
-    exact = True
-    for coords in doc["roots"]:
-        try:
-            d = tuple(Fraction(c) for c in coords)
-            roots.append(Root(d))
-        except ValueError:
-            roots.append(Root(tuple(float(c) for c in coords), exact=False))
-            exact = False
-    def _parse_mult(k):
-        try:
-            return Fraction(k) if exact else float(Fraction(k))
-        except ValueError:
-            return float(k)
-
-    mults = tuple(_parse_mult(k) for k in doc["multiplicities"])
-    return RootSystem(
-        family=doc["family"],
-        rank=doc["rank"],
-        dimension=doc["dimension"],
-        positive_roots=tuple(roots),
-        multiplicities=mults,
-        orbit_labels=tuple(doc["orbits"]),
-    )

@@ -1,13 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from dunkl_lab.domains import (
     DomainSpec,
     distance_data,
-    domain_spec_from_json,
-    domain_spec_to_json,
     equivariance_check,
 )
 from dunkl_lab.reflection import build_root_system, embed_root_system
@@ -91,10 +87,3 @@ def test_gradient_equivariance(rs_a2, rs_z23, rng):
         DomainSpec("exterior_ball", 3, radius=1.0), rs_z23, X
     ) < 1e-12
     assert equivariance_check(DomainSpec("wedge_SN", 3), rs_a2, X) < 1e-12
-
-
-def test_spec_json_roundtrip():
-    spec = DomainSpec("exterior_ball", 4, radius=2.5)
-    doc = domain_spec_to_json(spec)
-    json.dumps(doc)
-    assert domain_spec_from_json(doc) == spec

@@ -1,0 +1,26 @@
+"""Every exported name resolves, so a deletion cannot leave a stale export."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import dunkl_lab
+
+
+def test_every_all_entry_resolves():
+    for info in pkgutil.iter_modules(dunkl_lab.__path__):
+        module = importlib.import_module(f"dunkl_lab.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"dunkl_lab.{info.name}.{name}"
+
+
+def test_package_reexports_only_public_names():
+    tree = ast.parse(Path(dunkl_lab.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"dunkl_lab.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+            assert getattr(dunkl_lab, alias.name) is getattr(module, alias.name)

@@ -18,7 +18,6 @@ from dunkl_lab.inequalities import (
     DegenerateInputError,
     ModeFunction,
     alternate_exponent_limit,
-    build_extremizer,
     extrapolate_to_zero,
     full_space_quotient,
     hardy_eps_check,
@@ -28,7 +27,6 @@ from dunkl_lab.inequalities import (
     mode_quotient,
     oracle_quotient,
     quadrature_quotient,
-    radial_hardy_1d,
     sharp_constant,
     sharpness_sweep,
 )
@@ -121,30 +119,6 @@ def test_mode_coefficients_exact():
         assert co1.d_n == ((N - 5 - 2 * Fraction(g)) * nbar**2 + 4) / 4
         co2 = mode_coefficients(N, g, 2, C)
         assert co2.d_n == 2 * N * nbar**2 / 4
-
-
-def test_radial_hardy_1d_bound_and_sharpness():
-    prof = bump_radial_profile(1.5, 0.9)
-    for exponent in (10.0, 8.0, 6.0):
-        q = radial_hardy_1d(exponent, prof)
-        assert q >= (exponent - 1.0) ** 2 / 4.0
-    # the truncated-power family approaches the constant
-    for eps in (0.1, 0.01):
-        fam = build_extremizer("hardy_2", 10.0, eps)  # exponent 9 instance
-        q = radial_hardy_1d(9.0, fam)
-        assert q == pytest.approx(16.0, rel=0.1 * max(eps, 0.01) * 10)
-    with pytest.raises(DegenerateInputError):
-        radial_hardy_1d(8.0, _zero_profile())
-
-
-def _zero_profile():
-    from math import inf
-
-    from dunkl_lab.profiles import PiecewiseProfile, PowerPiece
-
-    return PiecewiseProfile(
-        [PowerPiece(0.0, 1.0, 0.0, 0.0), PowerPiece(1.0, inf, 0.0, 0.0)]
-    )
 
 
 def test_mode_functional_lower_bound():

@@ -21,16 +21,14 @@ from dunkl_lab.polyalg import (
     dunkl_laplacian_fast,
     identity_checks,
     norm_squared,
-    poly_from_json,
-    poly_to_json,
     reflect_poly,
     variable,
 )
 from dunkl_lab.reflection import (
     Root,
+    RootSystem,
     build_root_system,
     reflection_matrix,
-    root_system_from_json,
 )
 
 # every positive root of the built-in exact families (signed permutations)
@@ -181,11 +179,6 @@ def test_rational_multiplicity_stays_exact():
     assert _sum_of_squares(rs, x**4) == dunkl_laplacian_fast(rs, x**4)
 
 
-def test_poly_json_roundtrip(rng):
-    p = _random_poly(rng, 3, 3)
-    assert poly_from_json(poly_to_json(p)) == p
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
@@ -241,18 +234,15 @@ def test_divided_difference_on_custom_roots(root, rng):
                 - (p - reflect_poly(p, root))).is_zero()
 
 
-_JSON_ROOTS = (
-    '{"family": "custom", "rank": 1, "dimension": 2, "orbits": [0],'
-    ' "multiplicities": ["1/2"], "roots": [["1", "2"]]}'
-)
-
-
 @pytest.mark.parametrize("rs", [
     build_root_system("A", 3, 1),
     build_root_system("B", 3, [Fraction(1, 2), 1]),
     build_root_system("Z2", 3, [1, Fraction(1, 3), 2]),
     build_root_system("I2", 4, [1, Fraction(1, 2)]),
-    root_system_from_json(_JSON_ROOTS),  # (1, 2) reflects by compose_linear
+    # the hand-built root (1, 2) reflects by compose_linear
+    RootSystem(family="custom", rank=1, dimension=2,
+               positive_roots=(CUSTOM_ROOTS[0],),
+               multiplicities=(Fraction(1, 2),), orbit_labels=(0,)),
 ], ids=["A3", "B3", "Z2^3", "I2(4)", "json(1,2)"])
 def test_gradient_matches_dunkl_apply(rs, rng):
     for degree in (1, 3, 4):

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +14,6 @@ from dunkl_lab.reflection import (
     reflection_jacobian,
     reflection_matrix,
     rho,
-    root_system_from_json,
-    root_system_to_json,
-    sign_flip_field_check,
     weight,
 )
 
@@ -57,6 +53,23 @@ def test_reflection_involution_and_isometry(rs_b2, rng):
         assert np.allclose(
             np.linalg.norm(Y, axis=1), np.linalg.norm(X, axis=1), atol=1e-12
         )
+
+
+def test_z2_reflections_are_exact_sign_flips(rs_z23, rng):
+    from dunkl_lab.corpus import shifted_gaussian
+    from dunkl_lab.dunklnum import dunkl_gradient
+
+    # sigma_alpha x flips one coordinate exactly, so an even function has
+    # zero reflection differences and its Dunkl gradient is its gradient
+    X = rng.normal(size=(40, 3))
+    u = shifted_gaussian(np.zeros(3), 1.3)
+    assert np.array_equal(dunkl_gradient(rs_z23, u, X), u.gradient(X))
+    for root in rs_z23.positive_roots:
+        assert np.array_equal(reflect(root, reflect(root, X)), X)
+        a = root.vector
+        assert root.vector is a and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_exact_reflection_matrix_is_rational(rs_a2):
@@ -113,27 +126,6 @@ def test_rho_matches_closed_form_z2(rs_z23, rng):
     R = rho(rs_z23, X)
     # for Z2^n with k=1 per axis: rho_i = 2/x_i
     assert np.allclose(R, 2.0 / X, rtol=1e-12)
-
-
-def test_sign_flip_field(rs_a2, rng):
-    X = rng.normal(size=(30, 3)) + np.array([0.3, 1.1, 2.4])
-
-    def field(P):
-        return P * np.sum(P**2, axis=1)[:, None]  # h(|x|) x is equivariant
-
-    report = sign_flip_field_check(rs_a2, field, X)
-    assert report.ok
-
-
-def test_json_roundtrip(rs_b2):
-    doc = root_system_to_json(rs_b2)
-    back = root_system_from_json(doc)
-    assert back.family == rs_b2.family
-    assert back.multiplicities == rs_b2.multiplicities
-    assert [r.direction for r in back.positive_roots] == [
-        r.direction for r in rs_b2.positive_roots
-    ]
-    json.loads(doc)  # stays valid JSON
 
 
 def test_i2_exactness_flags():
