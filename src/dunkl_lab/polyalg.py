@@ -1,12 +1,19 @@
 """Exact multivariate polynomials over Q and the symbolic Dunkl calculus.
 
-Everything in this module is exact: coefficients are Fractions, reflections
-act on exponents and signs when sigma_alpha is a signed permutation (every
-built-in exact family: A, B, Z2, I2(1), I2(2), I2(4)), and a hand-built
-rational root whose reflection is not one, such as direction (1, 2), acts by
-exact linear substitution (``Polynomial.compose_linear``).  Divided
-differences are exact synthetic divisions by a linear form.  A
-floating-point value anywhere in here is a bug.
+Everything in this module is exact.  A polynomial is stored as integer
+numerators over one common integer denominator (the representation of
+FLINT's ``fmpq_poly``), kept canonical: the denominator is positive and
+coprime to the numerators, no numerator is zero, and the zero polynomial
+has denominator 1.  So ``==`` and ``hash`` compare plain integers, and every
+sum, product, derivative, reflection and division runs on ints; ``terms``
+is a read-only view that gives each coefficient as a ``Fraction``.
+Reflections act on exponents and signs when sigma_alpha is a signed
+permutation (every built-in exact family: A, B, Z2, I2(1), I2(2), I2(4)),
+and a hand-built rational root whose reflection is not one, such as
+direction (1, 2), acts by exact linear substitution
+(``Polynomial.compose_linear``).  Divided differences are exact synthetic
+divisions by a linear form.  A floating-point value anywhere in here is a
+bug.
 
 The difference term of a Dunkl operator,
 k_alpha * alpha_i * (p - p o sigma_alpha)/<alpha, x>, is computed with the
@@ -16,10 +23,11 @@ so the sqrt(2) scale cancels and every operator output stays rational.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
+from math import gcd, lcm
+from operator import add
 
 import numpy as np
 
@@ -52,90 +60,146 @@ def _frac(x) -> Fraction:
     raise TypeError(f"exact polynomial coefficients must be rational, got {type(x)}")
 
 
-class Polynomial:
-    """Sparse polynomial: exponent tuple -> Fraction, zero coefficients dropped."""
+def _wrap(nvars: int, num: dict, den: int) -> "Polynomial":
+    """The polynomial num/den, already in canonical form."""
+    out = object.__new__(Polynomial)
+    out.nvars, out._num, out._den = nvars, num, den
+    return out
 
-    __slots__ = ("nvars", "terms")
+
+def _canonical(nvars: int, num: dict, den: int) -> "Polynomial":
+    """The polynomial num/den (den > 0, no zero numerator), with
+    gcd(den, numerators) divided out."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return _wrap(nvars, num, den)
+
+
+class _Terms(Mapping):
+    """Read-only exponent tuple -> Fraction view of a polynomial, in term
+    order; each coefficient is built when it is read."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict, den: int):
+        self._num, self._den = num, den
+
+    def __getitem__(self, e) -> Fraction:
+        return Fraction(self._num[e], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __contains__(self, e) -> bool:
+        return e in self._num
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class Polynomial:
+    """Sparse polynomial: exponent tuple -> int numerator over one int
+    denominator, in canonical form (see the module docstring)."""
+
+    __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        self.terms = {}
+        coeffs = {}
         if terms:
             for e, c in terms.items():
                 c = _frac(c)
                 if c != 0:
                     if len(e) != nvars:
                         raise ValueError("exponent tuple length != nvars")
-                    self.terms[tuple(e)] = c
+                    coeffs[tuple(e)] = c
+        # reduced Fractions over their lcm have coprime numerators
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.nvars, self._den = nvars, den
+        self._num = {e: c.numerator * (den // c.denominator)
+                     for e, c in coeffs.items()}
+
+    @property
+    def terms(self) -> Mapping:
+        """exponent tuple -> Fraction coefficient, zero coefficients dropped."""
+        return _Terms(self._num, self._den)
 
     # -- basics -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self._num), default=0)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self._num}
         return len(degs) <= 1
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._num.items())))
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "Polynomial":
+        """self + sign * other over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = constant(self.nvars, other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, Fraction(0)) + c
+        a, b = self._den, other._den
+        if a == b:
+            den, t, scale = a, dict(self._num), sign
+        else:
+            den = lcm(a, b)
+            m = den // a
+            t = {e: c * m for e, c in self._num.items()}
+            scale = sign * (den // b)
+        for e, c in other._num.items():
+            s = t.get(e, 0) + scale * c
             if s:
                 t[e] = s
             else:
-                t.pop(e, None)
-        out = Polynomial.__new__(Polynomial)
-        out.nvars, out.terms = self.nvars, t
-        return out
+                del t[e]
+        return _canonical(self.nvars, t, den)
 
-    def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = constant(self.nvars, other)
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return _wrap(self.nvars, {e: -c for e, c in self._num.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if c == 0:
+            a = other.numerator
+            if not a:
                 return Polynomial(self.nvars)
-            out = Polynomial.__new__(Polynomial)
-            out.nvars = self.nvars
-            out.terms = {e: cc * c for e, cc in self.terms.items()}
-            return out
+            return _canonical(self.nvars,
+                              {e: c * a for e, c in self._num.items()},
+                              self._den * other.denominator)
         if other.nvars != self.nvars:
             raise ValueError("nvars mismatch")
         t: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, Fraction(0)) + c1 * c2
+        right = other._num.items()
+        for e1, c1 in self._num.items():
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                s = t.get(e, 0) + c1 * c2
                 if s:
                     t[e] = s
                 else:
-                    t.pop(e, None)
-        out = Polynomial.__new__(Polynomial)
-        out.nvars, out.terms = self.nvars, t
-        return out
+                    del t[e]
+        return _canonical(self.nvars, t, self._den * other._den)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -154,11 +218,11 @@ class Polynomial:
 
     def partial(self, i: int) -> "Polynomial":
         t: dict = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                t[e2] = t.get(e2, Fraction(0)) + c * e[i]
-        return Polynomial(self.nvars, t)
+        for e, c in self._num.items():
+            m = e[i]
+            if m:
+                t[e[:i] + (m - 1,) + e[i + 1 :]] = c * m
+        return _canonical(self.nvars, t, self._den)
 
     # -- substitution and evaluation ---------------------------------------
 
@@ -206,8 +270,9 @@ class Polynomial:
         single = X.ndim == 1
         X = np.atleast_2d(X)
         out = np.zeros(X.shape[0])
-        for e, c in self.terms.items():
-            t = np.full(X.shape[0], float(c))
+        for e, c in self._num.items():
+            # int true division is correctly rounded, as float(Fraction) is
+            t = np.full(X.shape[0], c / self._den)
             for i, m in enumerate(e):
                 if m:
                     t *= X[:, i] ** m
@@ -245,40 +310,49 @@ def norm_squared(nvars: int) -> Polynomial:
 # division by a linear form
 
 
-def _divide_by_linear(p: Polynomial, v) -> Polynomial:
-    """Exact quotient p / <v, x>; raises ExactDivisionError on a remainder.
+def _divide_by_linear(p: Polynomial, root: Root) -> Polynomial:
+    """Exact quotient p / <v, x>, v the root's direction; raises
+    ExactDivisionError on a remainder.
 
-    Synthetic division pivoting on one variable x_j with v_j != 0: from the
-    highest power of x_j down, each term c x^e gives the quotient term
-    q = c / v_j at e - e_j, and q v_i is subtracted at e - e_j + e_i for
-    every other i with v_i != 0, one power of x_j lower.  Whatever is left
-    free of x_j is the remainder.
+    Synthetic division of the integer numerators by <w, x> = s <v, x>
+    (``Root.integer_direction``), pivoting on the first x_j with w_j != 0:
+    from the highest power of x_j down, each term c x^e gives the quotient
+    term q = c / w_j at e - e_j, and q w_i is subtracted at e - e_j + e_i
+    for every other i with w_i != 0, one power of x_j lower.  Whatever is
+    left free of x_j is the remainder.  The numerators are first multiplied
+    by w_j^deg (deg the top power of x_j), so that the coefficients at power
+    d are multiples of w_j^d and every step divides exactly; every built-in
+    direction has w_j = 1.
     """
-    n = p.nvars
-    j = next(i for i, c in enumerate(v) if c != 0)
-    vj = _frac(v[j])
-    others = [(i, _frac(v[i])) for i in range(n) if i != j and v[i] != 0]
-    levels: dict[int, dict] = {}  # power of x_j -> {exponent: coefficient}
-    for e, c in p.terms.items():
-        levels.setdefault(e[j], {})[e] = c
+    w, s = root.integer_direction
+    j = next(i for i, c in enumerate(w) if c)
+    wj = w[j]
+    top = max((e[j] for e in p._num), default=0)
+    lift = wj**top
+    levels: dict[int, dict] = {}  # power of x_j -> {exponent: numerator}
+    for e, c in p._num.items():
+        levels.setdefault(e[j], {})[e] = c * lift
     quotient: dict = {}
-    for d in range(max(levels, default=0), 0, -1):
+    for d in range(top, 0, -1):
         level = {
-            e[:j] + (d - 1,) + e[j + 1 :]: c / vj
+            e[:j] + (d - 1,) + e[j + 1 :]: c // wj
             for e, c in levels.pop(d, {}).items()
             if c
         }
         quotient.update(level)
         below = levels.setdefault(d - 1, {})
-        for i, vi in others:
+        for i, wi in enumerate(w):
+            if i == j or not wi:
+                continue
             for e, q in level.items():
                 f = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                below[f] = below.get(f, 0) - vi * q
+                below[f] = below.get(f, 0) - wi * q
     if any(levels.get(0, {}).values()):
         raise ExactDivisionError("polynomial is not divisible by the linear form")
-    out = Polynomial.__new__(Polynomial)
-    out.nvars, out.terms = n, quotient
-    return out
+    a = s.numerator
+    if a != 1:
+        quotient = {e: c * a for e, c in quotient.items()}
+    return _canonical(p.nvars, quotient, p._den * lift * s.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -296,33 +370,6 @@ def _require_exact(rs: RootSystem):
             raise ValueError("symbolic Dunkl calculus needs rational multiplicities")
 
 
-class _SignedPermutation(NamedTuple):
-    """sigma_alpha x = (s_0 x_pi(0), ..., s_(N-1) x_pi(N-1)), s_i = +-1.
-
-    x^e o sigma_alpha = (prod of s_i^(e_i)) x^f with f_pi(i) = e_i; ``perm``
-    lists pi^-1, so f = (e_perm[0], ..., e_perm[N-1]), and ``flipped`` lists
-    the i with s_i = -1.
-    """
-
-    perm: tuple
-    flipped: tuple
-
-
-@lru_cache(maxsize=None)
-def _reflection_data(root: Root):
-    """The reflection of ``root`` as a _SignedPermutation when it is one,
-    otherwise its exact matrix; built once per root, on first use."""
-    m = reflection_matrix(root, exact=True)
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in m]
-    if not all(len(r) == 1 and abs(r[0][1]) == 1 for r in rows):
-        return m
-    inverse = [0] * len(rows)
-    for i, ((j, _),) in enumerate(rows):
-        inverse[j] = i
-    flipped = tuple(i for i, ((_, c),) in enumerate(rows) if c < 0)
-    return _SignedPermutation(tuple(inverse), flipped)
-
-
 def reflect_poly(p: Polynomial, root: Root) -> Polynomial:
     """p o sigma_alpha, exactly.
 
@@ -332,17 +379,15 @@ def reflect_poly(p: Polynomial, root: Root) -> Polynomial:
     root; a hand-built rational one (e.g. direction (1, 2)) falls back to
     ``compose_linear`` with the exact reflection matrix.
     """
-    data = _reflection_data(root)
-    if not isinstance(data, _SignedPermutation):
-        return p.compose_linear(data)
+    data = root.signed_permutation
+    if data is None:
+        return p.compose_linear(reflection_matrix(root, exact=True))
     perm, flipped = data
     terms = {}
-    for e, c in p.terms.items():
-        odd = sum(e[i] for i in flipped) & 1
-        terms[tuple(e[i] for i in perm)] = -c if odd else c
-    out = Polynomial.__new__(Polynomial)
-    out.nvars, out.terms = p.nvars, terms
-    return out
+    for e, c in p._num.items():
+        odd = sum([e[i] for i in flipped]) & 1
+        terms[tuple([e[i] for i in perm])] = -c if odd else c
+    return _wrap(p.nvars, terms, p._den)
 
 
 def divided_difference(p: Polynomial, root: Root) -> Polynomial:
@@ -354,7 +399,7 @@ def divided_difference(p: Polynomial, root: Root) -> Polynomial:
     diff = p - reflect_poly(p, root)
     if diff.is_zero():
         return Polynomial(p.nvars)
-    return _divide_by_linear(diff, root.direction)
+    return _divide_by_linear(diff, root)
 
 
 def _dunkl_terms(rs: RootSystem, p: Polynomial, coords) -> list:
@@ -364,13 +409,14 @@ def _dunkl_terms(rs: RootSystem, p: Polynomial, coords) -> list:
     _require_exact(rs)
     out = [p.partial(i) for i in coords]
     for root, k in rs.active_roots():
-        touched = [(slot, _frac(root.direction[i]))
-                   for slot, i in enumerate(coords) if root.direction[i] != 0]
+        w = root.integer_direction[0]
+        touched = [(slot, root.direction[i])
+                   for slot, i in enumerate(coords) if w[i]]
         if not touched:
             continue
         q = divided_difference(p, root)
         for slot, vi in touched:
-            out[slot] = out[slot] + (k * vi) * q
+            out[slot] = out[slot] + q * (k * vi)
     return out
 
 
@@ -393,16 +439,16 @@ def dunkl_laplacian_fast(rs: RootSystem, p: Polynomial) -> Polynomial:
     for i in range(n):
         out = out + grad[i].partial(i)
     for root, k in rs.active_roots():
-        v = root.direction
+        v, w = root.direction, root.integer_direction[0]
         grad_dot_v = Polynomial(n)
         for i in range(n):
-            if v[i] != 0:
-                grad_dot_v = grad_dot_v + _frac(v[i]) * grad[i]
+            if w[i]:
+                grad_dot_v = grad_dot_v + grad[i] * v[i]
         q = divided_difference(p, root)
-        # <grad p, alpha>/<alpha,x> - (p - p o sigma)/<alpha,x>^2
-        #   = [<grad p, v> - (|v|^2/2) q] / <v, x>
-        num = grad_dot_v - (root.norm2_direction * Fraction(1, 2)) * q
-        out = out + (2 * k) * _divide_by_linear(num, v)
+        # 2 <grad p, alpha>/<alpha,x> - 2 (p - p o sigma)/<alpha,x>^2
+        #   = [2 <grad p, v> - |v|^2 q] / <v, x>
+        num = grad_dot_v * 2 - q * root.norm2_direction
+        out = out + _divide_by_linear(num, root) * k
     return out
 
 
@@ -426,13 +472,15 @@ def identity_checks(rs: RootSystem, polys) -> list:
     N = rs.dimension
     roots = rs.positive_roots
     m = len(roots)
+    negated = tuple(r.negate() for r in roots)
     inv = norm_squared(N)
     inv_grad = dunkl_gradient_sym(rs, inv)
     grads = [dunkl_gradient_sym(rs, p) for p in polys]
     out = []
     for idx, (p, grad) in enumerate(zip(polys, grads)):
         i, j = idx % N, (idx + 1) % N
-        root = roots[idx % m]
+        a = idx % m
+        root = roots[a]
         nxt = (idx + 1) % len(polys)
         v, v_grad = polys[nxt], grads[nxt]
         squares = Polynomial(N)
@@ -443,18 +491,17 @@ def identity_checks(rs: RootSystem, polys) -> list:
         # divided_difference, so that this rule checks it
         corr = Polynomial(N)
         for r, k in rs.active_roots():
-            if r.direction[i] == 0:
+            if not r.integer_direction[0][i]:
                 continue
             dp, dv = p - reflect_poly(p, r), v - reflect_poly(v, r)
             if not (dp.is_zero() or dv.is_zero()):
-                corr = corr + (k * _frac(r.direction[i])) * _divide_by_linear(
-                    dp * dv, r.direction)
+                corr = corr + _divide_by_linear(dp * dv, r) * (k * r.direction[i])
         general = dunkl_apply(rs, i, p * v) - (v * grad[i] + p * v_grad[i] - corr)
         short = dunkl_apply(rs, i, p * inv) - (inv * grad[i] + p * inv_grad[i])
         lin = Polynomial(N, {tuple(int(t == axis) for t in range(N)): c
                              for axis, c in enumerate(root.direction) if c})
-        flipped = replace(rs, positive_roots=tuple(
-            r if t == idx % m else r.negate() for t, r in enumerate(roots)))
+        flipped = replace(
+            rs, positive_roots=negated[:a] + (root,) + negated[a + 1 :])
         checks = (
             ("commutativity",
              dunkl_apply(rs, i, grad[j]) == dunkl_apply(rs, j, grad[i])),

@@ -6,20 +6,25 @@ alpha = c*v.  All reflection matrices I - c^2 v v^T are then exact rational
 matrices whenever v is rational, which is what the exact polynomial calculus
 in :mod:`dunkl_lab.polyalg` relies on.  Float code reads each root's geometry
 (|v|^2, c^2, v and alpha), built once when the root is constructed, and forms
-sigma_alpha x only through :func:`reflect`.
+sigma_alpha x only through :func:`reflect`.  The exact calculus reads the
+root's integer direction and, when sigma_alpha is one, its signed
+permutation, each built on first use and kept on the root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from functools import cached_property
+from math import gcd, lcm, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Root",
     "RootSystem",
+    "SignedPermutation",
     "ReflectionGroup",
     "SingularPointError",
     "build_root_system",
@@ -39,6 +44,18 @@ _MAX_GROUP_ORDER = 20000  # closure guard against an invalid root system
 
 class SingularPointError(ValueError):
     """Raised when an operation is evaluated on a reflection hyperplane."""
+
+
+class SignedPermutation(NamedTuple):
+    """sigma_alpha x = (s_0 x_pi(0), ..., s_(N-1) x_pi(N-1)), s_i = +-1.
+
+    x^e o sigma_alpha = (prod of s_i^(e_i)) x^f with f_pi(i) = e_i; ``perm``
+    lists pi^-1, so f = (e_perm[0], ..., e_perm[N-1]), and ``flipped`` lists
+    the i with s_i = -1.
+    """
+
+    perm: tuple
+    flipped: tuple
 
 
 def _as_fraction(x):
@@ -102,6 +119,33 @@ class Root:
 
     def negate(self) -> "Root":
         return Root(tuple(-x for x in self.direction), self.exact)
+
+    # exact data, built on first use; cached_property writes the instance
+    # dict, so these stay out of equality, hash and repr
+
+    @cached_property
+    def integer_direction(self) -> tuple:
+        """(w, s) with direction = w / s: w the direction scaled to coprime
+        integers whose first nonzero entry is positive, s a Fraction."""
+        v = [_as_fraction(x) for x in self.direction]
+        den = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (den // x.denominator) for x in v]
+        g = gcd(*w) if next(x for x in w if x) > 0 else -gcd(*w)
+        return tuple(x // g for x in w), Fraction(den, g)
+
+    @cached_property
+    def signed_permutation(self) -> SignedPermutation | None:
+        """sigma_alpha as a SignedPermutation, or None when it is not one
+        (e.g. direction (1, 2)); every built-in exact root has one."""
+        rows = [[(j, c) for j, c in enumerate(row) if c]
+                for row in reflection_matrix(self, exact=True)]
+        if not all(len(r) == 1 and abs(r[0][1]) == 1 for r in rows):
+            return None
+        inverse = [0] * len(rows)
+        for i, ((j, _),) in enumerate(rows):
+            inverse[j] = i
+        flipped = tuple(i for i, ((_, c),) in enumerate(rows) if c < 0)
+        return SignedPermutation(tuple(inverse), flipped)
 
     def __repr__(self):
         return f"Root({tuple(str(x) for x in self.direction)})"

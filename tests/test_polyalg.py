@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from dunkl_lab.polyalg import (
     ExactDivisionError,
     Polynomial,
     _divide_by_linear,
-    _reflection_data,
-    _SignedPermutation,
     constant,
     divided_difference,
     dunkl_apply,
@@ -32,13 +31,18 @@ from dunkl_lab.reflection import (
 )
 
 # every positive root of the built-in exact families (signed permutations)
-# and two rational roots whose reflections are not signed permutations
+# and four rational roots whose reflections are not signed permutations; the
+# last two scale to integer directions (2, 1) and (3, 2), whose pivots are
+# not +-1
 SIGNED_ROOTS = [
     root
     for family, rank in (("A", 3), ("B", 3), ("Z2", 3), ("I2", 4))
     for root in build_root_system(family, rank, 1).positive_roots
 ]
-CUSTOM_ROOTS = [Root((Fraction(1), Fraction(2))), Root((Fraction(1),) * 3)]
+PIVOT_ROOTS = [Root((Fraction(2), Fraction(1))),
+               Root((Fraction(1, 2), Fraction(1, 3)))]
+CUSTOM_ROOTS = [Root((Fraction(1), Fraction(2))), Root((Fraction(1),) * 3),
+                *PIVOT_ROOTS]
 ALL_ROOTS = SIGNED_ROOTS + CUSTOM_ROOTS
 
 
@@ -101,8 +105,7 @@ def test_division_remainder_raises():
     rs = build_root_system("Z2", 2, [1, 0])
     # x*y + 1 is not antisymmetric under x -> -x, so no exact quotient exists
     with pytest.raises(ExactDivisionError):
-        _divide_by_linear(x * y + constant(2, Fraction(1)),
-                          rs.positive_roots[0].direction)
+        _divide_by_linear(x * y + constant(2, Fraction(1)), rs.positive_roots[0])
 
 
 def test_dunkl_reduces_to_partial_when_k_zero(rng):
@@ -202,7 +205,7 @@ def test_dunkl_lowers_degree(rs_a2):
 
 @pytest.mark.parametrize("root", ALL_ROOTS, ids=repr)
 def test_reflect_poly_matches_linear_substitution(root, rng):
-    signed = isinstance(_reflection_data(root), _SignedPermutation)
+    signed = root.signed_permutation is not None
     assert signed == (root not in CUSTOM_ROOTS)
     matrix = reflection_matrix(root, exact=True)
     for _ in range(3):
@@ -222,7 +225,7 @@ def test_divide_by_linear_round_trip(root, data):
     terms = data.draw(st.dictionaries(
         st.tuples(*[_exponent] * N), _coefficient, max_size=6))
     q = Polynomial(N, terms)
-    assert _divide_by_linear(_linear_form(root, N) * q, root.direction) == q
+    assert _divide_by_linear(_linear_form(root, N) * q, root) == q
 
 
 @pytest.mark.parametrize("root", CUSTOM_ROOTS, ids=repr)
@@ -249,3 +252,147 @@ def test_gradient_matches_dunkl_apply(rs, rng):
         p = _random_poly(rng, rs.dimension, degree)
         grad = dunkl_gradient_sym(rs, p)
         assert grad == [dunkl_apply(rs, i, p) for i in range(rs.dimension)]
+
+
+def _rank_one(root, k):
+    return RootSystem(family="custom", rank=1, dimension=root.dim,
+                      positive_roots=(root,), multiplicities=(k,),
+                      orbit_labels=(0,))
+
+
+@pytest.mark.parametrize("root", PIVOT_ROOTS, ids=repr)
+def test_non_unit_pivot_identities_hold(root, rng):
+    assert root.integer_direction[0][0] not in (1, -1)
+    rs = _rank_one(root, Fraction(1, 3))
+    polys = [_random_poly(rng, 2, degree) for degree in (2, 3, 4, 3)]
+    entries = identity_checks(rs, polys)
+    assert len(entries) == 6 * len(polys)
+    assert [name for name, ok, _ in entries if not ok] == []
+
+
+@pytest.mark.parametrize("root", PIVOT_ROOTS, ids=repr)
+def test_non_unit_pivot_remainder_raises(root):
+    x, y = variable(0, 2), variable(1, 2)
+    # no term is free of the pivot variable, so only the division steps
+    # themselves can leave the remainder
+    for p in (x, x**2 * Fraction(1, 7), _linear_form(root, 2) * y**2 + x * y):
+        with pytest.raises(ExactDivisionError):
+            _divide_by_linear(p, root)
+    with pytest.raises(ExactDivisionError):
+        _divide_by_linear(x * y + constant(2, Fraction(1, 5)), root)
+
+
+# -- the integer arithmetic against a dict-of-Fraction oracle ----------------
+#
+# The oracle updates its dict term by term and drops a coefficient the moment
+# it cancels, so its term order is the one the package's reports follow.
+
+
+def _o_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, Fraction(0)) + sign * c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _o_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = _o_add(out, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2})
+    return out
+
+
+def _o_partial(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i]
+            for e, c in a.items() if e[i]}
+
+
+def _o_substitute(a, matrix):
+    """p(Mx), one linear form per variable, multiplied out term by term."""
+    N = len(matrix)
+    rows = [{tuple(int(t == j) for t in range(N)): c
+             for j, c in enumerate(row) if c} for row in matrix]
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * N: c}
+        for i, m in enumerate(e):
+            for _ in range(m):
+                term = _o_mul(term, rows[i])
+        out = _o_add(out, term)
+    return out
+
+
+def _assert_canonical(p):
+    assert p._den > 0 and all(p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
+    assert all(isinstance(c, Fraction) for c in p.terms.values())
+
+
+_small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def _fraction_dicts(draw, N):
+    return draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * N),
+                                _small_fraction, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_arithmetic_matches_fraction_oracle(data):
+    N = data.draw(st.integers(2, 4))
+    a = {e: c for e, c in data.draw(_fraction_dicts(N)).items() if c}
+    b = {e: c for e, c in data.draw(_fraction_dicts(N)).items() if c}
+    s = data.draw(_small_fraction)
+    i = data.draw(st.integers(0, N - 1))
+    p, q = Polynomial(N, a), Polynomial(N, b)
+    # ordered comparisons: the term order is part of the contract
+    for got, want in (
+        (p, a),
+        (p + q, _o_add(a, b)),
+        (p - q, _o_add(a, b, -1)),
+        (p * q, _o_mul(a, b)),
+        (p * s, {e: c * s for e, c in a.items()} if s else {}),
+        (p.partial(i), _o_partial(a, i)),
+    ):
+        _assert_canonical(got)
+        assert list(got.terms.items()) == list(want.items())
+    roots = [r for r in ALL_ROOTS if r.dim == N]
+    roots += build_root_system("B", N, 1).positive_roots
+    root = data.draw(st.sampled_from(roots))
+    reflected = _o_substitute(a, reflection_matrix(root, exact=True))
+    got = reflect_poly(p, root)
+    _assert_canonical(got)
+    assert got.terms == reflected
+    # <v, x> q = p - p o sigma, multiplied out by the oracle
+    dd = divided_difference(p, root)
+    _assert_canonical(dd)
+    lin = {tuple(int(t == axis) for t in range(N)): c
+           for axis, c in enumerate(root.direction) if c}
+    assert _o_mul(lin, dict(dd.terms)) == _o_add(a, reflected, -1)
+
+
+def test_canonical_form_is_unique(rng):
+    x, y = variable(0, 2), variable(1, 2)
+    p = _random_poly(rng, 2, 3) * Fraction(5, 4)
+    routes = [
+        (p * 6) * Fraction(1, 6),
+        p * Fraction(2, 3) + p * Fraction(1, 3),
+        Polynomial(2, dict(p.terms)),
+        -(-p),
+        (p * (x + y)).partial(0) - p.partial(0) * (x + y),
+    ]
+    for q in routes:
+        assert q == p and hash(q) == hash(p)
+        assert (q._num, q._den) == (p._num, p._den)
+    half = x * Fraction(1, 2)
+    assert half + half == x and (half + half)._den == 1
+    assert (x * Fraction(2, 3)) * Fraction(3, 2) == x
+    for zero in (p - p, p * 0, Polynomial(2), half * Fraction(0)):
+        assert zero.is_zero() and zero._den == 1 and zero == Polynomial(2)
+        assert hash(zero) == hash(Polynomial(2))

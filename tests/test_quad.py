@@ -18,7 +18,7 @@ from dunkl_lab.quad import (
     sphere_surface,
     sphere_weight_integral,
 )
-from dunkl_lab.reflection import HYPERPLANE_RTOL, build_root_system
+from dunkl_lab.reflection import HYPERPLANE_RTOL, build_root_system, near_hyperplane
 
 
 def _sphere_monomial(exponents):
@@ -61,6 +61,28 @@ def test_jitter_moves_nodes_off_hyperplanes(rs_z23):
         assert np.min(np.abs(rule.nodes @ root.vector)) > HYPERPLANE_RTOL
     # jitter is a rotation: weights and norms are untouched
     assert np.allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-12)
+
+
+# (family, N, order) whose odd-order nodes lie on several coordinate
+# hyperplanes at once; six rotations in the planes (0, j) do not clear them.
+# These are all such pairs among the built-in systems with N <= 7 at orders
+# 4-12 (4-6 at N = 7).
+CROWDED_RULES = [
+    ("B", 5, 5), ("B", 5, 7), ("B", 5, 9), ("B", 5, 11),
+    ("Z2", 5, 5), ("Z2", 5, 7), ("Z2", 5, 9), ("Z2", 5, 11),
+    ("A", 6, 5), ("A", 6, 7), ("A", 6, 9), ("A", 6, 11),
+    ("B", 6, 5), ("B", 6, 7), ("B", 6, 9), ("B", 6, 11),
+    ("Z2", 6, 5), ("Z2", 6, 7), ("Z2", 6, 9), ("Z2", 6, 11),
+    ("A", 7, 5), ("B", 7, 5), ("Z2", 7, 5),
+]
+
+
+@pytest.mark.parametrize("family, N, order", CROWDED_RULES)
+def test_jitter_clears_crowded_odd_orders(family, N, order):
+    rs = build_root_system(family, N - 1 if family == "A" else N, 1)
+    rule = jitter_off_hyperplanes(sphere_rule(N, order), rs)
+    for root, _ in rs.active_roots():
+        assert not near_hyperplane(rule.nodes @ root.vector, 1.0).any()
 
 
 def test_sphere_weight_integral_b2_oracle():
