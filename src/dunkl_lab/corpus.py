@@ -14,9 +14,15 @@ import numpy as np
 
 from .dunklnum import SmoothFunction
 from .inequalities import ModeFunction
-from .polyalg import Polynomial, constant, dunkl_gradient_sym, variable
+from .polyalg import (
+    Polynomial,
+    constant,
+    dunkl_gradient_sym,
+    sphere_mean,
+    variable,
+)
 from .profiles import PiecewiseProfile, PolyPiece, PowerPiece
-from .quad import sphere_moments, sphere_rule
+from .quad import sphere_rule, sphere_weight_integral
 
 __all__ = [
     "ball_bump",
@@ -178,13 +184,17 @@ def mode_function(profile: PiecewiseProfile, p: Polynomial) -> SmoothFunction:
 
 
 def _default_mode_rule(rs, n: int):
-    """The sphere rule exact to degree 2n + ceil(2*gamma)."""
+    """The sphere rule of order 2n + ceil(2*gamma), from which
+    ``separable_mode`` and ``mode_corpus`` read S_k
+    (``quad.sphere_weight_integral``) when no rule is given.  The sphere
+    means need no rule; S_k, which cancels in every mode quotient, is exact
+    to rounding when the weight is a polynomial (integer k)."""
     return sphere_rule(rs.dimension, max(1, 2 * n + int(ceil(2.0 * float(rs.gamma)))))
 
 
-def _mode_constants(rs, p: Polynomial, moment):
-    """(c0, c1, c2) of the h-harmonic p as moments of exact polynomials:
-    p^2, sum_i (T_i p)^2 and p * sum_i x_i T_i p."""
+def _mode_constants(rs, p: Polynomial, mean, sk: float):
+    """(c0, c1, c2) of the h-harmonic p: S_k times the exact sphere means
+    of p^2, sum_i (T_i p)^2 and p * sum_i x_i T_i p."""
     grad = dunkl_gradient_sym(rs, p)
     N = rs.dimension
     sq = Polynomial(N)
@@ -192,7 +202,8 @@ def _mode_constants(rs, p: Polynomial, moment):
     for i, g in enumerate(grad):
         sq = sq + g * g
         radial = radial + variable(i, N) * g
-    return moment((p * p).terms), moment(sq.terms), moment((p * radial).terms)
+    return (sk * float(mean(p * p)), sk * float(mean(sq)),
+            sk * float(mean(p * radial)))
 
 
 def separable_mode(rs, profile: PiecewiseProfile, p: Polynomial,
@@ -200,26 +211,27 @@ def separable_mode(rs, profile: PiecewiseProfile, p: Polynomial,
     """Single-mode trial function u = g(r) p(x) for a homogeneous h-harmonic p.
 
     The Dunkl gradient of u splits pointwise as g grad_k p + g' p x/r, so the
-    quotient integrals need only three spherical averages of p.  Each is the
-    moment (``quad.sphere_moments`` of ``rule``) of an exact polynomial:
+    quotient integrals need only three omega_k-weighted sphere integrals of
+    p.  Each is S_k = int_S omega_k times the exact sphere mean
+    (``polyalg.sphere_mean``) of a polynomial:
 
-      c0 = moment(p^2),
-      c1 = moment(sum_i (T_i p)^2),
-      c2 = moment(p * sum_i x_i T_i p),
+      c0 = S_k mean(p^2),
+      c1 = S_k mean(sum_i (T_i p)^2),
+      c2 = S_k mean(p * sum_i x_i T_i p).
 
-    the same sums over ``quad.weighted_sphere`` as evaluating p and T p at
-    its nodes, added in a different order.  The moment table lives for
-    this call only; ``mode_corpus`` shares one across a corpus.  The
-    integrands have degree 2n + 2*gamma, and the default rule is exact to
-    that degree (the multiplicities must make the weight a polynomial for
-    that exactness to hold, e.g. integer values).
+    The means are exact for every rational multiplicity.  ``rule`` only
+    supplies S_k (``quad.sphere_weight_integral``), which cancels in every
+    mode quotient; the default is ``_default_mode_rule(rs, n)``.  The memo
+    of monomial means lives for this call only; ``mode_corpus`` shares one
+    across a corpus.
     """
     if not p.is_homogeneous():
         raise ValueError("the angular factor must be homogeneous")
     n = p.degree()
     if rule is None:
         rule = _default_mode_rule(rs, n)
-    c0, c1, c2 = _mode_constants(rs, p, sphere_moments(rs, rule))
+    sk = sphere_weight_integral(rs, rule)
+    c0, c1, c2 = _mode_constants(rs, p, sphere_mean(rs), sk)
     return ModeFunction(n, profile, rs.dimension + 2.0 * float(rs.gamma),
                         c0, c1, c2)
 
@@ -295,14 +307,12 @@ def mode_corpus(rs, rng, count: int, degrees=(0, 1, 2, 3), rule=None):
     """Single-mode trial functions: random shell profiles times h-harmonics
     of the listed degrees (mode 0 entries are plain radial functions).
 
-    The mode constants are those of ``separable_mode``, moments of exact
-    polynomials: c0 = moment(p^2), c1 = moment(sum_i (T_i p)^2) and
-    c2 = moment(p * sum_i x_i T_i p).  One moment table
-    (``quad.sphere_moments``, one weighted sphere) serves the whole call:
-    it is built once, shared by every harmonic, and dropped when the call
-    returns.  ``rule`` optionally fixes its sphere rule; it must be
-    exact for polynomials of degree 2n + 2*gamma with n = max(degrees).
-    When it is None the call uses the rule exact to degree
+    The mode constants are those of ``separable_mode``: S_k times the exact
+    sphere means of p^2, sum_i (T_i p)^2 and p * sum_i x_i T_i p.  One
+    ``polyalg.sphere_mean`` serves the whole call, so each monomial's mean
+    is computed once per call and dropped when the call returns.  ``rule``
+    only supplies S_k (one ``quad.sphere_weight_integral`` per call); when
+    it is None the call uses the rule exact to degree
     2 max(degrees) + ceil(2*gamma).  Constants are computed once per
     harmonic since they do not depend on the radial profile."""
     from fractions import Fraction
@@ -317,7 +327,8 @@ def mode_corpus(rs, rng, count: int, degrees=(0, 1, 2, 3), rule=None):
             bases[n] = kernel_basis(rs, n)
     if rule is None:
         rule = _default_mode_rule(rs, max(degrees))
-    moment = sphere_moments(rs, rule)
+    mean = sphere_mean(rs)
+    sk = sphere_weight_integral(rs, rule)
     nbar = rs.dimension + 2.0 * float(rs.gamma)
     out = []
     constants = {}
@@ -329,6 +340,6 @@ def mode_corpus(rs, rng, count: int, degrees=(0, 1, 2, 3), rule=None):
         idx = int(rng.integers(len(bases[n])))
         key = (n, idx)
         if key not in constants:
-            constants[key] = _mode_constants(rs, bases[n][idx], moment)
+            constants[key] = _mode_constants(rs, bases[n][idx], mean, sk)
         out.append((f"mode{n}_{i}", ModeFunction(n, prof, nbar, *constants[key])))
     return out

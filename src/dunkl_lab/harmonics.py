@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -78,23 +78,41 @@ def homogeneous_exponents(n: int, N: int) -> list:
     return out
 
 
+def _primitive(row: list) -> list:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def fraction_kernel(rows, ncols):
-    """Kernel basis of an exact rational matrix given as a list of rows."""
-    m = [list(row) for row in rows]
+    """Kernel basis of an exact rational matrix given as a list of rows of
+    ints and Fractions.
+
+    Gauss-Jordan elimination to the reduced echelon form, run on integer
+    rows: each row is scaled to integers, a pivot row clears its column
+    from every other row by cross-multiplication, and each row is kept
+    divided by the gcd of its entries.  Each row is a nonzero multiple of
+    the reduced row with the same pivot, so the kernel vector of free
+    column f has -m[r][f]/m[r][p] at each pivot column p (row r) and 1 at f.
+    """
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
     nrows = len(m)
     pivots = {}
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        a = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            b = m[i][c]
+            if i != r and b:
+                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], prow)])
         pivots[c] = r
         r += 1
         if r == nrows:
@@ -105,7 +123,7 @@ def fraction_kernel(rows, ncols):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for pc, pr in pivots.items():
-            v[pc] = -m[pr][fc]
+            v[pc] = Fraction(-m[pr][fc], m[pr][pc])
         kernel.append(v)
     return kernel
 

@@ -44,6 +44,7 @@ __all__ = [
     "dunkl_apply",
     "dunkl_gradient_sym",
     "dunkl_laplacian_fast",
+    "sphere_mean",
     "identity_checks",
 ]
 
@@ -450,6 +451,44 @@ def dunkl_laplacian_fast(rs: RootSystem, p: Polynomial) -> Polynomial:
         num = grad_dot_v * 2 - q * root.norm2_direction
         out = out + _divide_by_linear(num, root) * k
     return out
+
+
+def sphere_mean(rs: RootSystem):
+    """The omega_k-weighted sphere mean, exactly.
+
+    Returns mean(p) = int_S p omega_k / int_S omega_k as a ``Fraction``.
+    For x^e homogeneous of degree 2j,
+    mean(x^e) = Delta_k^j x^e / (4^j j! (Nbar/2)_j) (Dunkl & Xu,
+    *Orthogonal Polynomials of Several Variables*, ch. 7), so with
+    Delta_k x^e = sum_f c_f x^f,
+    mean(x^e) = sum_f c_f mean(x^f) / (4j (Nbar/2 + j - 1));
+    an odd degree gives 0 (omega_k is even) and degree 0 gives 1.  Each
+    monomial's mean is computed the first time it appears and memoised for
+    as long as the returned function lives.
+    """
+    _require_exact(rs)
+    N = rs.dimension
+    half_nbar = Fraction(N, 2) + rs.gamma
+    memo: dict = {(0,) * N: Fraction(1)}
+
+    def monomial(e) -> Fraction:
+        m = memo.get(e)
+        if m is None:
+            deg = sum(e)
+            if deg & 1:
+                m = Fraction(0)
+            else:
+                j = deg // 2
+                lap = dunkl_laplacian_fast(rs, _wrap(N, {e: 1}, 1))
+                m = (sum([c * monomial(f) for f, c in lap._num.items()], Fraction(0))
+                     / (lap._den * 4 * j * (half_nbar + j - 1)))
+            memo[e] = m
+        return m
+
+    def mean(p: Polynomial) -> Fraction:
+        return sum([c * monomial(e) for e, c in p._num.items()], Fraction(0)) / p._den
+
+    return mean
 
 
 # ---------------------------------------------------------------------------

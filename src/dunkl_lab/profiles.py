@@ -10,7 +10,7 @@ which is exact to machine precision for these smooth integrands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
 
 import numpy as np
@@ -58,15 +58,23 @@ class PolyPiece:
     lo: float
     hi: float
     poly: np.polynomial.Polynomial
+    # poly' and poly'', built once in __post_init__ and left out of
+    # equality, hash and repr
+    _d1: np.polynomial.Polynomial = field(init=False, repr=False, compare=False)
+    _d2: np.polynomial.Polynomial = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_d1", self.poly.deriv(1))
+        object.__setattr__(self, "_d2", self.poly.deriv(2))
 
     def value(self, r):
         return self.poly(r)
 
     def deriv(self, r):
-        return self.poly.deriv(1)(r)
+        return self._d1(r)
 
     def deriv2(self, r):
-        return self.poly.deriv(2)(r)
+        return self._d2(r)
 
 
 def _power_integral(c: float, s: float, lo: float, hi: float) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "sphere_rule",
     "jitter_off_hyperplanes",
     "weighted_sphere",
-    "sphere_moments",
     "polar_values",
     "reflected_stack",
     "sphere_weight_integral",
@@ -187,32 +186,6 @@ def weighted_sphere(rs: RootSystem, rule: SphericalRule):
         raise ValueError("spherical rule dimension mismatches the root system")
     rule = jitter_off_hyperplanes(rule, rs)
     return rule.nodes, rule.weights * weight(rs, rule.nodes)
-
-
-def sphere_moments(rs: RootSystem, rule: SphericalRule):
-    """The moment functional of ``weighted_sphere(rs, rule)``.
-
-    Returns moment(terms) = sum_m w_m q(xi_m) for the polynomial q given by
-    its terms (exponent tuple -> coefficient).  The weighted sphere is read
-    once; each monomial's moment sum_m w_m xi_m^e is computed the first time
-    it appears and memoised for as long as the returned function lives.
-    """
-    nodes, w = weighted_sphere(rs, rule)
-    memo: dict = {}
-
-    def monomial(e) -> float:
-        if e not in memo:
-            t = w
-            for i, m in enumerate(e):
-                if m:
-                    t = t * nodes[:, i] ** m
-            memo[e] = float(np.sum(t))
-        return memo[e]
-
-    def moment(terms) -> float:
-        return sum(float(c) * monomial(e) for e, c in terms.items())
-
-    return moment
 
 
 # A support ball's radius is widened by this share of |c| + rho before its

@@ -135,3 +135,70 @@ def test_cross_term_bound(rs_a2):
     u = ball_bump([0.0, 0.9, 1.8], 0.5)
     report = cross_term_bound_check(rs_a2, u, grid, rule)
     assert all(lhs <= rhs + report.tolerance for _, lhs, rhs in report.entries)
+
+
+def _fraction_gauss_jordan_kernel(rows, ncols):
+    """Reference: Gauss-Jordan on Fractions to the reduced echelon form."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = {}
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots[c] = r
+        r += 1
+        if r == len(m):
+            break
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for pc, pr in pivots.items():
+            v[pc] = -m[pr][fc]
+        kernel.append(v)
+    return kernel
+
+
+# every (system, n) of `verify all` (the A2, B3 and Z2^5 multiplicity pools
+# of the benchmark, n <= 4) and of the four sharpness mode batches
+_KERNEL_CASES = (
+    [("A", 2, k, 4) for k in (1, Fraction(1, 2), 2)]
+    + [("B", 3, k, 4) for k in (1, [Fraction(1, 2), 1], [1, Fraction(1, 3)])]
+    + [("Z2", 5, k, 4) for k in (1, Fraction(1, 2), Fraction(1, 3), 0,
+                                 [1, 0, 0, 0, 0])]
+    + [("Z2", 7, [1, 0, 0, 0, 0, 0, 0], 2)]
+)
+
+
+def test_fraction_kernel_matches_fraction_gauss_jordan():
+    rng = np.random.default_rng(5)
+    for shape in ((1, 3), (3, 5), (4, 4), (5, 7), (6, 9)):
+        for _ in range(20):
+            # small entries and a few zero or repeated rows give rank drops
+            rows = [[Fraction(int(a), int(b)) for a, b in zip(
+                rng.integers(-3, 4, shape[1]), rng.integers(1, 5, shape[1]))]
+                for _ in range(shape[0])]
+            if shape[0] > 2:
+                rows[1] = [x * Fraction(-3, 2) for x in rows[0]]
+                rows[2] = [Fraction(0)] * shape[1]
+            assert (fraction_kernel(rows, shape[1])
+                    == _fraction_gauss_jordan_kernel(rows, shape[1]))
+
+
+def test_kernel_basis_matches_fraction_gauss_jordan(monkeypatch):
+    import dunkl_lab.harmonics as harmonics
+
+    for family, rank, k, n_max in _KERNEL_CASES:
+        rs = build_root_system(family, rank, k)
+        got = [kernel_basis(rs, n) for n in range(n_max + 1)]
+        with monkeypatch.context() as m:
+            m.setattr(harmonics, "fraction_kernel", _fraction_gauss_jordan_kernel)
+            want = [kernel_basis(rs, n) for n in range(n_max + 1)]
+        assert got == want, (family, rank, k)

@@ -21,6 +21,7 @@ from dunkl_lab.polyalg import (
     identity_checks,
     norm_squared,
     reflect_poly,
+    sphere_mean,
     variable,
 )
 from dunkl_lab.reflection import (
@@ -396,3 +397,63 @@ def test_canonical_form_is_unique(rng):
     for zero in (p - p, p * 0, Polynomial(2), half * Fraction(0)):
         assert zero.is_zero() and zero._den == 1 and zero == Polynomial(2)
         assert hash(zero) == hash(Polynomial(2))
+
+
+def _rising(a, m: int):
+    out = Fraction(1)
+    for i in range(m):
+        out *= a + i
+    return out
+
+
+def test_sphere_mean_matches_z2_closed_form():
+    # for Z2^N, omega_k = prod |x_i|^(2 k_i) and the sphere mean of x^e is
+    # prod (k_i + 1/2)_(e_i/2) / (Nbar/2)_(|e|/2) for all-even e, else 0
+    from dunkl_lab.harmonics import homogeneous_exponents
+
+    k = Fraction(1, 3)
+    rs = build_root_system("Z2", 3, k)
+    half_nbar = Fraction(3, 2) + 3 * k
+    mean = sphere_mean(rs)
+    for d in range(9):
+        for e in homogeneous_exponents(d, 3):
+            got = mean(Polynomial(3, {e: 1}))
+            if any(m % 2 for m in e):
+                want = Fraction(0)
+            else:
+                want = Fraction(1)
+                for m in e:
+                    want *= _rising(k + Fraction(1, 2), m // 2)
+                want /= _rising(half_nbar, d // 2)
+            assert isinstance(got, Fraction) and got == want, e
+
+
+@pytest.mark.parametrize(
+    "family, rank, k",
+    [
+        ("A", 2, [Fraction(1, 2)]),
+        ("B", 3, [Fraction(1, 2), 1]),
+        ("Z2", 3, Fraction(1, 3)),
+        ("I2", 4, Fraction(1, 2)),
+    ],
+    ids=["A2", "B3", "Z2^3", "I2(4)"],
+)
+def test_sphere_mean_green_identity(family, rank, k):
+    # Green's identity on the sphere: for an h-harmonic p of degree n,
+    # mean(sum_i (T_i p)^2) = (Nbar + 2n - 2) mean(p sum_i x_i T_i p)
+    from dunkl_lab.harmonics import kernel_basis
+
+    rs = build_root_system(family, rank, k)
+    N = rs.dimension
+    nbar = N + 2 * rs.gamma
+    mean = sphere_mean(rs)
+    for n in range(4):
+        for p in kernel_basis(rs, n):
+            grad = dunkl_gradient_sym(rs, p)
+            sq = Polynomial(N)
+            radial = Polynomial(N)
+            for i, g in enumerate(grad):
+                sq = sq + g * g
+                radial = radial + variable(i, N) * g
+            assert mean(sq) == (nbar + 2 * n - 2) * mean(p * radial), (n, p)
+            assert n == 0 or mean(sq) > 0  # not 0 == 0

@@ -97,3 +97,26 @@ def test_gauss_rule_is_built_once(monkeypatch):
     oracle_quotient("rellich", 9.0, 0.01)
     assert first == 1
     assert len(calls) == first
+
+
+def test_poly_piece_derivatives_are_built_once(monkeypatch):
+    from dunkl_lab.corpus import bump_radial_profile
+
+    pieces = [pc for prof in (mollified_power_profile(-3.0),
+                              bump_radial_profile(1.4, 0.7))
+              for pc in prof.pieces if isinstance(pc, PolyPiece)]
+    assert len(pieces) == 2
+    calls = []
+    deriv = np.polynomial.Polynomial.deriv
+    monkeypatch.setattr(np.polynomial.Polynomial, "deriv",
+                        lambda self, m=1: calls.append(m) or deriv(self, m))
+    grids = [np.linspace(pc.lo, pc.hi, 41) for pc in pieces]
+    got = [[(pc.deriv(r), pc.deriv2(r)) for _ in range(2)]
+           for pc, r in zip(pieces, grids)]
+    assert not calls
+    for pc, r, values in zip(pieces, grids, got):
+        for d1, d2 in values:
+            # bit for bit the derivatives numpy builds on demand
+            assert np.all(d1 == pc.poly.deriv(1)(r))
+            assert np.all(d2 == pc.poly.deriv(2)(r))
+        assert repr(pc) == f"PolyPiece(lo={pc.lo!r}, hi={pc.hi!r}, poly={pc.poly!r})"

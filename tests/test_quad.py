@@ -237,3 +237,34 @@ def test_grid_validation():
         RadialGrid((1.0, 0.5))
     with pytest.raises(ValueError):
         RadialGrid((0.0, 1.0), nodes_per_interval=2)
+
+
+@pytest.mark.parametrize(
+    "family, rank, k",
+    [("A", 1, 1), ("A", 2, 1), ("A", 3, 0), ("B", 2, [1, 1]), ("B", 3, [0, 1]),
+     ("Z2", 3, 1), ("Z2", 4, [1, 0, 0, 1]), ("I2", 4, 1)],
+    ids=["A1", "A2", "A3", "B2", "B3", "Z2^3", "Z2^4", "I2(4)"],
+)
+def test_sphere_rules_are_exact_against_exact_means(family, rank, k):
+    # at integer k, omega_k is a polynomial of degree 2 gamma, so a rule of
+    # order m integrates x^e omega_k exactly for |e| <= m - 2 gamma; the
+    # oracle is S_k times the exact mean from powers of the Dunkl Laplacian
+    from dunkl_lab.harmonics import homogeneous_exponents
+    from dunkl_lab.polyalg import Polynomial, sphere_mean
+    from dunkl_lab.quad import weighted_sphere
+
+    rs = build_root_system(family, rank, k)
+    N, two_gamma = rs.dimension, int(2 * rs.gamma)
+    mean = sphere_mean(rs)
+    checked = 0
+    for order in range(4, 9):
+        rule = sphere_rule(N, order)
+        nodes, w = weighted_sphere(rs, rule)
+        sk = sphere_weight_integral(rs, rule)
+        for d in range(order - two_gamma + 1):
+            for e in homogeneous_exponents(d, N):
+                nodal = float(np.sum(w * np.prod(nodes**np.array(e), axis=1)))
+                exact = sk * float(mean(Polynomial(N, {e: 1})))
+                assert abs(nodal - exact) <= 1e-13 * sk, (order, e)
+                checked += 1
+    assert checked
