@@ -246,9 +246,10 @@ def test_grid_validation():
     ids=["A1", "A2", "A3", "B2", "B3", "Z2^3", "Z2^4", "I2(4)"],
 )
 def test_sphere_rules_are_exact_against_exact_means(family, rank, k):
-    # at integer k, omega_k is a polynomial of degree 2 gamma, so a rule of
-    # order m integrates x^e omega_k exactly for |e| <= m - 2 gamma; the
-    # oracle is S_k times the exact mean from powers of the Dunkl Laplacian
+    # at integer k, omega_k is a polynomial of degree 2 gamma <= 8, so a
+    # rule of order m integrates x^e omega_k exactly for |e| <= m - 2 gamma;
+    # the oracle is S_k (from a rule of order 16) times the exact mean from
+    # powers of the Dunkl Laplacian
     from dunkl_lab.harmonics import homogeneous_exponents
     from dunkl_lab.polyalg import Polynomial, sphere_mean
     from dunkl_lab.quad import weighted_sphere
@@ -256,11 +257,10 @@ def test_sphere_rules_are_exact_against_exact_means(family, rank, k):
     rs = build_root_system(family, rank, k)
     N, two_gamma = rs.dimension, int(2 * rs.gamma)
     mean = sphere_mean(rs)
+    sk = sphere_weight_integral(rs, sphere_rule(N, 16))
     checked = 0
     for order in range(4, 9):
-        rule = sphere_rule(N, order)
-        nodes, w = weighted_sphere(rs, rule)
-        sk = sphere_weight_integral(rs, rule)
+        nodes, w = weighted_sphere(rs, sphere_rule(N, order))
         for d in range(order - two_gamma + 1):
             for e in homogeneous_exponents(d, N):
                 nodal = float(np.sum(w * np.prod(nodes**np.array(e), axis=1)))
