@@ -47,7 +47,6 @@ from .harmonics import (
 from .domains import DomainSpec, DistanceData, distance_data, equivariance_check
 from .profiles import PiecewiseProfile, hardy_p_profile, mollified_power_profile
 from .inequalities import (
-    FAMILY_KINDS,
     FUNCTIONALS,
     ModeFunction,
     OracleMismatchError,

@@ -1,11 +1,12 @@
 """Command-line entry point: named verification suites with JSON/CSV reports.
 
 Usage:
-    dunkl-lab verify <suite> [--family A|B|Z2|I2] [--rank n] [--m m]
-                     [--k v1,v2] [--p P|auto] [--eps e1,e2,...] [--tol t]
+    dunkl-lab verify <suite> [--family A|B|Z2|I2] [--rank n] [--k v1,v2]
+                     [--p P|auto] [--eps e1,e2,...] [--tol t]
                      [--quad-order q] [--nmax n] [--config file.json]
                      [--out dir]
 
+``--rank`` is n for A_n, B_n and Z2^n and m for the dihedral I2(m).
 Suites: identities, harmonics, hardy, hardy-rellich, all.  Exit code 0 iff
 every verdict passed, 1 on any failed verdict, 2 on a usage error, 3 on an
 internal arithmetic fault.
@@ -36,7 +37,6 @@ SUITES = ("identities", "harmonics", "hardy", "hardy-rellich", "all")
 _DEFAULTS = {
     "family": "A",
     "rank": 2,
-    "m": 4,
     "k": "1",
     "p": "auto",
     "eps": "0.3,0.1,0.03,0.01,0.003,0.001",
@@ -73,12 +73,11 @@ def _build_system(cfg):
     family = cfg["family"].upper()
     if family not in ("A", "B", "Z2", "I2"):
         raise UsageError(f"unknown family {cfg['family']!r}")
-    rank = cfg["m"] if family == "I2" else cfg["rank"]
     ks = _parse_multiplicities(str(cfg["k"]))
     if len(ks) == 1:
         ks = ks[0]  # scalar broadcasts to every root orbit
     try:
-        return build_root_system(family, int(rank), ks)
+        return build_root_system(family, int(cfg["rank"]), ks)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -276,7 +275,6 @@ def _build_parser():
     verify.add_argument("suite", choices=SUITES)
     verify.add_argument("--family", choices=["A", "B", "Z2", "I2"])
     verify.add_argument("--rank", type=int)
-    verify.add_argument("--m", type=int)
     verify.add_argument("--k")
     verify.add_argument("--p")
     verify.add_argument("--eps")

@@ -1,13 +1,16 @@
 """Builders for test-function corpora.
 
-Everything here is C^2 with analytic gradients (and Laplacians/Hessians where
-the checks need them): sextic ball bumps, shifted Gaussians, radial shell
-bumps, and separable radial-times-harmonic modes.  Bump profiles are exact
+Everything here is C^2 with analytic gradients, Laplacians and Hessians:
+sextic ball bumps, shifted Gaussians, radial shell bumps, separable
+radial-times-harmonic modes and damped polynomials.  Each is g(|x - c|) P(x - c)
+for a radial part g and an exact polynomial P, and one builder (``_product``)
+applies the product rule for all of them.  Bump profiles are exact
 polynomials so the 1-D reductions stay quadrature-exact.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import ceil
 
 import numpy as np
@@ -16,10 +19,9 @@ from .dunklnum import SmoothFunction
 from .inequalities import ModeFunction
 from .polyalg import (
     Polynomial,
-    constant,
-    dunkl_gradient_sym,
+    dunkl_laplacian_fast,
+    reflect_poly,
     sphere_mean,
-    variable,
 )
 from .profiles import PiecewiseProfile, PolyPiece, PowerPiece
 from .quad import sphere_rule, sphere_weight_integral
@@ -39,92 +41,127 @@ __all__ = [
 _INF = float("inf")
 
 
+def _product(center, radial, P: Polynomial | None = None,
+             support=None) -> SmoothFunction:
+    """u(x) = g(s) P(y) with y = x - c and s = |y|, by the product rule.
+
+    ``radial(q)`` takes q = s^2 and returns (g, b, c) = (g, g'/s,
+    (g'' - g'/s)/s^2).  P is an exact polynomial, or None for the constant 1,
+    which evaluates no polynomial at all.  Then
+
+      grad u = b P y + g grad P,
+      lap u  = (q c + N b) P + 2 b <y, grad P> + g lap P,
+      Hess u = c P y y^T + b P I + b (y grad P^T + grad P y^T) + g Hess P.
+    """
+    c0 = np.asarray(center, dtype=float)
+    N = len(c0)
+    if P is not None:
+        grad_P = [P.partial(i) for i in range(N)]
+        hess_P = [[d.partial(j) for j in range(N)] for d in grad_P]
+        lap_P = sum((hess_P[i][i] for i in range(N)), Polynomial(N))
+
+    def parts(X):
+        Y = np.atleast_2d(np.asarray(X, dtype=float)) - c0
+        q = np.sum(Y**2, axis=1)
+        return (Y, q, *radial(q))
+
+    def gradients(Y):
+        return np.column_stack([d.evaluate(Y) for d in grad_P])
+
+    def value(X):
+        Y, _, g, _, _ = parts(X)
+        return g if P is None else g * P.evaluate(Y)
+
+    def gradient(X):
+        Y, _, g, b, _ = parts(X)
+        if P is None:
+            return b[:, None] * Y
+        return (b * P.evaluate(Y))[:, None] * Y + g[:, None] * gradients(Y)
+
+    def laplacian(X):
+        Y, q, g, b, c = parts(X)
+        if P is None:
+            return q * c + N * b
+        return ((q * c + N * b) * P.evaluate(Y)
+                + 2.0 * b * np.einsum("mi,mi->m", Y, gradients(Y))
+                + g * lap_P.evaluate(Y))
+
+    def hessian(X):
+        Y, _, g, b, c = parts(X)
+        pv = 1.0 if P is None else P.evaluate(Y)
+        H = np.einsum("m,mi,mj->mij", c * pv, Y, Y)
+        H += (b * pv)[:, None, None] * np.eye(N)
+        if P is None:
+            return H
+        YD = np.einsum("m,mi,mj->mij", b, Y, gradients(Y))
+        Hp = np.array([[h.evaluate(Y) for h in row] for row in hess_P])
+        return H + YD + YD.transpose(0, 2, 1) + np.einsum("m,ijm->mij", g, Hp)
+
+    return SmoothFunction(value, gradient, laplacian, hessian, dimension=N,
+                          support=support)
+
+
 def ball_bump(center, radius: float) -> SmoothFunction:
     """u = (1 - |x-c|^2/rho^2)^3 inside the ball, 0 outside; C^2 everywhere.
 
     The ball is the function's declared ``support``."""
-    c = np.asarray(center, dtype=float)
     rho2 = float(radius) ** 2
-    N = len(c)
 
-    def parts(X):
-        D = np.atleast_2d(np.asarray(X, dtype=float)) - c
-        q = np.sum(D**2, axis=1) / rho2
-        inside = q < 1.0
-        w = np.where(inside, 1.0 - q, 0.0)
-        return D, q, w, inside
+    def radial(q):
+        t = q / rho2
+        w = np.where(t < 1.0, 1.0 - t, 0.0)
+        return w**3, -6.0 / rho2 * w**2, 24.0 / rho2**2 * w
 
-    def value(X):
-        _, _, w, _ = parts(X)
-        return w**3
+    return _product(center, radial,
+                    support=(np.asarray(center, dtype=float), float(radius)))
 
-    def gradient(X):
-        D, _, w, _ = parts(X)
-        return -6.0 / rho2 * w[:, None] ** 2 * D
 
-    def laplacian(X):
-        _, q, w, _ = parts(X)
-        return 24.0 / rho2 * w * q - 6.0 * N / rho2 * w**2
+def _gaussian(s2: float):
+    """The radial part of exp(-s^2/scale^2), with s2 = scale^2."""
+    def radial(q):
+        e = np.exp(-q / s2)
+        return e, -2.0 / s2 * e, 4.0 / s2**2 * e
 
-    def hessian(X):
-        D, _, w, _ = parts(X)
-        H = 24.0 / rho2**2 * w[:, None, None] * np.einsum("mi,mj->mij", D, D)
-        H -= 6.0 / rho2 * w[:, None, None] ** 2 * np.eye(N)
-        return H
-
-    return SmoothFunction(value, gradient, laplacian, hessian, dimension=N,
-                          support=(c, float(radius)))
+    return radial
 
 
 def shifted_gaussian(center, scale: float) -> SmoothFunction:
     """u = exp(-|x-c|^2/s^2) with full analytic derivatives."""
-    c = np.asarray(center, dtype=float)
-    s2 = float(scale) ** 2
-    N = len(c)
-
-    def value(X):
-        D = np.atleast_2d(np.asarray(X, dtype=float)) - c
-        return np.exp(-np.sum(D**2, axis=1) / s2)
-
-    def gradient(X):
-        D = np.atleast_2d(np.asarray(X, dtype=float)) - c
-        return -2.0 / s2 * value(X)[:, None] * D
-
-    def laplacian(X):
-        D = np.atleast_2d(np.asarray(X, dtype=float)) - c
-        d2 = np.sum(D**2, axis=1)
-        return (4.0 * d2 / s2**2 - 2.0 * N / s2) * np.exp(-d2 / s2)
-
-    def hessian(X):
-        D = np.atleast_2d(np.asarray(X, dtype=float)) - c
-        v = value(X)
-        H = 4.0 / s2**2 * v[:, None, None] * np.einsum("mi,mj->mij", D, D)
-        H -= 2.0 / s2 * v[:, None, None] * np.eye(N)
-        return H
-
-    return SmoothFunction(value, gradient, laplacian, hessian, dimension=N)
+    return _product(center, _gaussian(float(scale) ** 2))
 
 
 def bump_radial_profile(center: float, width: float) -> PiecewiseProfile:
     """g(r) = (1 - ((r-c)/w)^2)^3 on [c-w, c+w], 0 elsewhere, as exact
-    polynomial pieces; requires c > w so the support avoids the origin."""
+    polynomial pieces; requires c > w so the support avoids the origin.
+    numpy maps r to t = (r - c)/w through the polynomial's domain."""
     if center <= width:
         raise ValueError("profile support must avoid the origin")
-    s = np.polynomial.Polynomial([-center / width, 1.0 / width])
-    poly = (np.polynomial.Polynomial([1.0]) - s**2) ** 3
+    lo, hi = center - width, center + width
+    poly = np.polynomial.Polynomial([1, 0, -3, 0, 3, 0, -1], domain=[lo, hi])
     return PiecewiseProfile(
         [
-            PowerPiece(0.0, center - width, 0.0, 0.0),
-            PolyPiece(center - width, center + width, poly),
-            PowerPiece(center + width, _INF, 0.0, 0.0),
+            PowerPiece(0.0, lo, 0.0, 0.0),
+            PolyPiece(lo, hi, poly),
+            PowerPiece(hi, _INF, 0.0, 0.0),
         ]
     )
 
 
+def _profile_radial(profile: PiecewiseProfile):
+    """The radial part of u(x) = g(|x|) for a piecewise profile g."""
+    def radial(q):
+        r = np.sqrt(q)
+        b = profile.deriv(r) / r
+        return profile.value(r), b, (profile.deriv2(r) - b) / q
+
+    return radial
+
+
 def radial_shell_bump(center: float, width: float, dimension: int) -> SmoothFunction:
     """Radial function u(x) = g(|x|) from the polynomial shell profile: the
-    degree-0 mode, with Hessian g'' xh xh^T + (g'/r)(I - xh xh^T), xh = x/|x|."""
-    return mode_function(bump_radial_profile(center, width), constant(dimension, 1))
+    degree-0 mode."""
+    return _product(np.zeros(dimension),
+                    _profile_radial(bump_radial_profile(center, width)))
 
 
 def mode_function(profile: PiecewiseProfile, p: Polynomial) -> SmoothFunction:
@@ -132,55 +169,7 @@ def mode_function(profile: PiecewiseProfile, p: Polynomial) -> SmoothFunction:
     derivatives assembled by the product rule."""
     if not p.is_homogeneous():
         raise ValueError("the angular factor must be homogeneous")
-    n = p.degree()
-    N = p.nvars
-    grads = [p.partial(i) for i in range(N)]
-    hess_p = [[q.partial(j) for j in range(N)] for q in grads]
-    lap_p = Polynomial(N)
-    for i in range(N):
-        lap_p = lap_p + hess_p[i][i]
-
-    def value(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return profile.value(np.linalg.norm(X, axis=1)) * p.evaluate(X)
-
-    def gradient(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        r = np.linalg.norm(X, axis=1)
-        g, g1 = profile.value(r), profile.deriv(r)
-        pv = p.evaluate(X)
-        G = (g1 * pv / r)[:, None] * X
-        for i in range(N):
-            G[:, i] += g * grads[i].evaluate(X)
-        return G
-
-    def laplacian(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        r = np.linalg.norm(X, axis=1)
-        g, g1, g2 = profile.value(r), profile.deriv(r), profile.deriv2(r)
-        pv = p.evaluate(X)
-        # lap(g p) = (g'' + (N-1)g'/r) p + 2 g'/r <x, grad p> + g lap p
-        return (
-            (g2 + (N - 1.0) * g1 / r) * pv
-            + 2.0 * g1 / r * n * pv
-            + g * lap_p.evaluate(X)
-        )
-
-    def hessian(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        r = np.linalg.norm(X, axis=1)
-        g, g1, g2 = profile.value(r), profile.deriv(r), profile.deriv2(r)
-        pv = p.evaluate(X)
-        dp = np.column_stack([q.evaluate(X) for q in grads])
-        # (g'' - g'/r) p xh xh^T + (g'/r)(p I + x dp^T + dp x^T) + g Hess p
-        H = np.einsum("m,mi,mj->mij", (g2 - g1 / r) * pv / r**2, X, X)
-        H += (g1 / r * pv)[:, None, None] * np.eye(N)
-        XD = np.einsum("m,mi,mj->mij", g1 / r, X, dp)
-        H += XD + XD.transpose(0, 2, 1)
-        Hp = np.array([[q.evaluate(X) for q in row] for row in hess_p])
-        return H + g[:, None, None] * np.moveaxis(Hp, -1, 0)
-
-    return SmoothFunction(value, gradient, laplacian, hessian, dimension=N)
+    return _product(np.zeros(p.nvars), _profile_radial(profile), p)
 
 
 def _default_mode_rule(rs, n: int):
@@ -193,17 +182,22 @@ def _default_mode_rule(rs, n: int):
 
 
 def _mode_constants(rs, p: Polynomial, mean, sk: float):
-    """(c0, c1, c2) of the h-harmonic p: S_k times the exact sphere means
-    of p^2, sum_i (T_i p)^2 and p * sum_i x_i T_i p."""
-    grad = dunkl_gradient_sym(rs, p)
-    N = rs.dimension
-    sq = Polynomial(N)
-    radial = Polynomial(N)
-    for i, g in enumerate(grad):
-        sq = sq + g * g
-        radial = radial + variable(i, N) * g
-    return (sk * float(mean(p * p)), sk * float(mean(sq)),
-            sk * float(mean(p * radial)))
+    """(c0, c1, c2) of the degree-n h-harmonic p: S_k times the exact sphere
+    means of p^2, sum_i (T_i p)^2 and p * sum_i x_i T_i p.
+
+    Euler's identity sum_i x_i T_i p = n p + sum_alpha k_alpha (p - p o
+    sigma_alpha) gives the third without a divided difference.  Green's
+    identity on the sphere, mean(sum_i (T_i p)^2) = (Nbar + 2n - 2) *
+    mean(p * sum_i x_i T_i p), which needs Delta_k p = 0, gives the second
+    from the third's exact mean."""
+    n = p.degree()
+    euler = p * n
+    for root, k in rs.active_roots():
+        euler = euler + (p - reflect_poly(p, root)) * k
+    mean2 = mean(p * euler)
+    nbar = rs.dimension + 2 * rs.gamma
+    return (sk * float(mean(p * p)), sk * float((nbar + 2 * n - 2) * mean2),
+            sk * float(mean2))
 
 
 def separable_mode(rs, profile: PiecewiseProfile, p: Polynomial,
@@ -216,8 +210,11 @@ def separable_mode(rs, profile: PiecewiseProfile, p: Polynomial,
     (``polyalg.sphere_mean``) of a polynomial:
 
       c0 = S_k mean(p^2),
-      c1 = S_k mean(sum_i (T_i p)^2),
-      c2 = S_k mean(p * sum_i x_i T_i p).
+      c1 = S_k mean(sum_i (T_i p)^2) = (Nbar + 2n - 2) c2,
+      c2 = S_k mean(p * sum_i x_i T_i p),
+
+    c1 by Green's identity and c2 by Euler's (see ``_mode_constants``).
+    Raises ValueError unless p is homogeneous with Delta_k p = 0.
 
     The means are exact for every rational multiplicity.  ``rule`` only
     supplies S_k (``quad.sphere_weight_integral``), which cancels in every
@@ -227,6 +224,8 @@ def separable_mode(rs, profile: PiecewiseProfile, p: Polynomial,
     """
     if not p.is_homogeneous():
         raise ValueError("the angular factor must be homogeneous")
+    if not dunkl_laplacian_fast(rs, p).is_zero():
+        raise ValueError("the angular factor must be h-harmonic (Delta_k p = 0)")
     n = p.degree()
     if rule is None:
         rule = _default_mode_rule(rs, n)
@@ -237,43 +236,18 @@ def separable_mode(rs, profile: PiecewiseProfile, p: Polynomial,
 
 
 def random_damped_polynomial(rng, N: int, degree: int) -> SmoothFunction:
-    """Gaussian-damped random polynomial with analytic derivatives."""
+    """Gaussian-damped random polynomial p(x) exp(-|x|^2) with analytic
+    derivatives; p has the coefficients rng draws, rounded to 1/64."""
+    from .harmonics import homogeneous_exponents
+
     exps = []
     for d in range(degree + 1):
-        from .harmonics import homogeneous_exponents
-
         exps.extend(homogeneous_exponents(d, N))
     coeffs = rng.uniform(-1.0, 1.0, size=len(exps))
     p = Polynomial(N)
-    from fractions import Fraction
-
     for e, c in zip(exps, coeffs):
         p = p + Polynomial(N, {e: Fraction(round(c * 64), 64)})
-    grads = [p.partial(i) for i in range(N)]
-    lap_p = Polynomial(N)
-    for i in range(N):
-        lap_p = lap_p + grads[i].partial(i)
-
-    def value(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return p.evaluate(X) * np.exp(-np.sum(X**2, axis=1))
-
-    def gradient(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        damp = np.exp(-np.sum(X**2, axis=1))
-        G = np.column_stack([g.evaluate(X) for g in grads])
-        return damp[:, None] * (G - 2.0 * p.evaluate(X)[:, None] * X)
-
-    def laplacian(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        damp = np.exp(-np.sum(X**2, axis=1))
-        pv = p.evaluate(X)
-        G = np.column_stack([g.evaluate(X) for g in grads])
-        xg = np.einsum("mi,mi->m", X, G)
-        r2 = np.sum(X**2, axis=1)
-        return damp * (lap_p.evaluate(X) - 4.0 * xg + pv * (4.0 * r2 - 2.0 * N))
-
-    return SmoothFunction(value, gradient, laplacian, dimension=N)
+    return _product(np.zeros(N), _gaussian(1.0), p)
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +289,9 @@ def mode_corpus(rs, rng, count: int, degrees=(0, 1, 2, 3), rule=None):
     it is None the call uses the rule exact to degree
     2 max(degrees) + ceil(2*gamma).  Constants are computed once per
     harmonic since they do not depend on the radial profile."""
-    from fractions import Fraction
-
     from .harmonics import kernel_basis
 
-    bases = {}
-    for n in set(degrees):
-        if n == 0:
-            bases[0] = [Polynomial(rs.dimension, {(0,) * rs.dimension: Fraction(1)})]
-        else:
-            bases[n] = kernel_basis(rs, n)
+    bases = {n: kernel_basis(rs, n) for n in set(degrees)}
     if rule is None:
         rule = _default_mode_rule(rs, max(degrees))
     mean = sphere_mean(rs)

@@ -40,7 +40,6 @@ from .quad import RadialGrid, SphericalRule, integrate_measure, integrate_radial
 from .reflection import RootSystem
 
 __all__ = [
-    "FAMILY_KINDS",
     "FUNCTIONALS",
     "Functional",
     "Term",
@@ -51,7 +50,6 @@ __all__ = [
     "OracleMismatchError",
     "DegenerateInputError",
     "sharp_constant",
-    "build_extremizer",
     "oracle_quotient",
     "quadrature_quotient",
     "extrapolate_to_zero",
@@ -178,7 +176,6 @@ FUNCTIONALS = {
         den=Term("grad", k=-1),
     ),
 }
-FAMILY_KINDS = tuple(FUNCTIONALS)
 
 
 def _functional(kind: str) -> Functional:
@@ -189,13 +186,6 @@ def _functional(kind: str) -> Functional:
 
 def sharp_constant(kind: str, nbar: float, p: float | None = None) -> float:
     return _functional(kind).constant(nbar, p)
-
-
-def build_extremizer(
-    kind: str, nbar: float, eps: float, p: float | None = None
-) -> PiecewiseProfile:
-    """Near-extremal radial profile for the given functional at this eps."""
-    return _functional(kind).extremizer(nbar, eps, p)
 
 
 def _closed_form(prof: PiecewiseProfile, term: Term, nbar: float, p) -> float:

@@ -133,6 +133,23 @@ def test_unknown_config_key_rejected(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_dihedral_order_is_the_rank(tmp_path):
+    # I2(6) has six positive roots: Nbar = 2 + 2*6 = 14, hardy_2 target 36
+    out = tmp_path / "o"
+    assert _run(["verify", "hardy", "--family", "I2", "--rank", "6",
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    targets = {d["check"]: d["target"] for d in doc["details"]}
+    assert targets["sharpness/hardy_2"] == 36.0
+    # there is no separate order option, on the command line or in a config
+    assert _run(["verify", "hardy", "--family", "I2", "--m", "6",
+                 "--out", str(tmp_path / "m")]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "I2", "m": 6}))
+    assert _run(["verify", "hardy", "--config", str(cfg),
+                 "--out", str(tmp_path / "c")]) == 2
+
+
 def test_fourth_order_needs_large_nbar(tmp_path):
     # N + 2 gamma = 2 for Z2^2 with k = 0: usage error, not a crash
     for suite in ("hardy-rellich", "hardy"):

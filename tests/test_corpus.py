@@ -69,21 +69,45 @@ def test_ball_bump_vanishes_outside_its_declared_support(vectors, radius, scale)
 
 
 def test_mode_hessians_match_gradient_differences(rng):
+    # every builder: the gradient against central differences of the value,
+    # the Hessian against central differences of the gradient, and
+    # trace(Hessian) against the Laplacian
     x, y, z = (variable(i, 3) for i in range(3))
     prof = bump_radial_profile(1.5, 0.9)
     X = rng.normal(size=(10, 3))
     X *= (rng.uniform(0.7, 2.3, size=10) / np.linalg.norm(X, axis=1))[:, None]
     h = 1e-5
-    for u in (radial_shell_bump(1.5, 0.9, 3),
-              mode_function(prof, x * y - z * z * 2 + x * z)):
-        H = u.hessian(X)
+    builders = {
+        "ball_bump": ball_bump([0.9, -0.4, 0.6], 1.6),
+        "shifted_gaussian": shifted_gaussian([0.3, -0.2, 0.5], 1.1),
+        "radial_shell_bump": radial_shell_bump(1.5, 0.9, 3),
+        "mode_function": mode_function(prof, x * y - z * z * 2 + x * z),
+        "random_damped_polynomial": random_damped_polynomial(rng, 3, 3),
+    }
+    for name, u in builders.items():
+        G, H = u.gradient(X), u.hessian(X)
+        assert np.max(np.abs(G)) > 1e-2 and np.max(np.abs(H)) > 1e-2, name
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
+            fd = (u.value(X + e) - u.value(X - e)) / (2.0 * h)
+            assert np.allclose(G[:, j], fd, rtol=1e-6, atol=1e-6), name
             fd = (u.gradient(X + e) - u.gradient(X - e)) / (2.0 * h)
-            assert np.allclose(H[:, :, j], fd, rtol=1e-6, atol=1e-6)
+            assert np.allclose(H[:, :, j], fd, rtol=1e-6, atol=1e-6), name
         assert np.allclose(np.trace(H, axis1=1, axis2=2), u.laplacian(X),
-                           rtol=1e-12, atol=1e-12)
+                           rtol=1e-12, atol=1e-12), name
+
+
+def test_bump_radial_profile_is_the_mapped_sextic():
+    # g(r) = (1 - t^2)^3 with t = (r - c)/w: zero at both ends of the
+    # support, flat at the center, and (1 - t^2)^3 to a few ulps in between
+    for c, w in ((2.5, 0.6), (1.5, 0.9), (1.4, 0.7)):
+        g = bump_radial_profile(c, w)
+        assert g.value(c - w) == 0.0 and g.value(c + w) == 0.0
+        assert g.deriv(c) == 0.0
+        r = np.linspace(c - w, c + w, 41)
+        t = (r - c) / w
+        assert np.max(np.abs(g.value(r) - (1.0 - t * t) ** 3)) <= 2e-15
 
 
 def test_bump_radial_profile_needs_offset_support():
@@ -129,6 +153,14 @@ def test_separable_mode_classical_consistency(rng):
     prof = bump_radial_profile(1.4, 0.7)
     mf = separable_mode(rs, prof, p)
     assert mf.c2 == pytest.approx(2.0 * mf.c0, rel=1e-10)
+
+
+def test_separable_mode_rejects_a_non_harmonic_factor(rs_a2):
+    # x0^2 is homogeneous but Delta_k x0^2 != 0 on A2 with k = 1, so the
+    # Green identity behind c1 does not hold for it
+    prof = bump_radial_profile(1.4, 0.7)
+    with pytest.raises(ValueError, match="h-harmonic"):
+        separable_mode(rs_a2, prof, variable(0, 3) ** 2)
 
 
 def test_separable_mode_constants_ignore_hyperplane_jitter():

@@ -14,7 +14,7 @@ from dunkl_lab.domains import DomainSpec, distance_data
 from dunkl_lab.harmonics import kernel_basis
 from dunkl_lab.inequalities import (
     DEFAULT_EPSILONS,
-    FAMILY_KINDS,
+    FUNCTIONALS,
     DegenerateInputError,
     ModeFunction,
     alternate_exponent_limit,
@@ -64,7 +64,7 @@ def test_hardy_2_quotient_closed_form():
         )
 
 
-@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("kind", FUNCTIONALS)
 def test_oracle_and_quadrature_paths_agree(kind):
     nbar = 9.0
     p = nbar + 1.0 if kind == "hardy_p" else None
