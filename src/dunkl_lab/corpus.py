@@ -45,9 +45,11 @@ def _product(center, radial, P: Polynomial | None = None,
              support=None) -> SmoothFunction:
     """u(x) = g(s) P(y) with y = x - c and s = |y|, by the product rule.
 
-    ``radial(q)`` takes q = s^2 and returns (g, b, c) = (g, g'/s,
-    (g'' - g'/s)/s^2).  P is an exact polynomial, or None for the constant 1,
-    which evaluates no polynomial at all.  Then
+    ``radial(q, want)`` takes q = s^2 and returns (g, b, c) = (g, g'/s,
+    (g'' - g'/s)/s^2), each computed only if its letter is in ``want`` and
+    None otherwise (see ``_radial_parts``); every field asks for the parts
+    it uses.  P is an exact polynomial, or None for the constant 1, which
+    evaluates no polynomial at all.  Then
 
       grad u = b P y + g grad P,
       lap u  = (q c + N b) P + 2 b <y, grad P> + g lap P,
@@ -60,26 +62,26 @@ def _product(center, radial, P: Polynomial | None = None,
         hess_P = [[d.partial(j) for j in range(N)] for d in grad_P]
         lap_P = sum((hess_P[i][i] for i in range(N)), Polynomial(N))
 
-    def parts(X):
+    def parts(X, want):
         Y = np.atleast_2d(np.asarray(X, dtype=float)) - c0
         q = np.sum(Y**2, axis=1)
-        return (Y, q, *radial(q))
+        return (Y, q, *radial(q, want))
 
     def gradients(Y):
         return np.column_stack([d.evaluate(Y) for d in grad_P])
 
     def value(X):
-        Y, _, g, _, _ = parts(X)
+        Y, _, g, _, _ = parts(X, "g")
         return g if P is None else g * P.evaluate(Y)
 
     def gradient(X):
-        Y, _, g, b, _ = parts(X)
+        Y, _, g, b, _ = parts(X, "b" if P is None else "gb")
         if P is None:
             return b[:, None] * Y
         return (b * P.evaluate(Y))[:, None] * Y + g[:, None] * gradients(Y)
 
     def laplacian(X):
-        Y, q, g, b, c = parts(X)
+        Y, q, g, b, c = parts(X, "bc" if P is None else "gbc")
         if P is None:
             return q * c + N * b
         return ((q * c + N * b) * P.evaluate(Y)
@@ -87,7 +89,7 @@ def _product(center, radial, P: Polynomial | None = None,
                 + g * lap_P.evaluate(Y))
 
     def hessian(X):
-        Y, _, g, b, c = parts(X)
+        Y, _, g, b, c = parts(X, "bc" if P is None else "gbc")
         pv = 1.0 if P is None else P.evaluate(Y)
         H = np.einsum("m,mi,mj->mij", c * pv, Y, Y)
         H += (b * pv)[:, None, None] * np.eye(N)
@@ -101,16 +103,24 @@ def _product(center, radial, P: Polynomial | None = None,
                           support=support)
 
 
+def _radial_parts(want, **fns):
+    """(g, b, c) from the zero-argument callables ``fns``, calling only those
+    whose letter is in ``want``; the rest are None."""
+    return tuple(fns[k]() if k in want else None for k in "gbc")
+
+
 def ball_bump(center, radius: float) -> SmoothFunction:
     """u = (1 - |x-c|^2/rho^2)^3 inside the ball, 0 outside; C^2 everywhere.
 
     The ball is the function's declared ``support``."""
     rho2 = float(radius) ** 2
 
-    def radial(q):
+    def radial(q, want):
         t = q / rho2
         w = np.where(t < 1.0, 1.0 - t, 0.0)
-        return w**3, -6.0 / rho2 * w**2, 24.0 / rho2**2 * w
+        return _radial_parts(want, g=lambda: w**3,
+                             b=lambda: -6.0 / rho2 * w**2,
+                             c=lambda: 24.0 / rho2**2 * w)
 
     return _product(center, radial,
                     support=(np.asarray(center, dtype=float), float(radius)))
@@ -118,9 +128,10 @@ def ball_bump(center, radius: float) -> SmoothFunction:
 
 def _gaussian(s2: float):
     """The radial part of exp(-s^2/scale^2), with s2 = scale^2."""
-    def radial(q):
+    def radial(q, want):
         e = np.exp(-q / s2)
-        return e, -2.0 / s2 * e, 4.0 / s2**2 * e
+        return _radial_parts(want, g=lambda: e, b=lambda: -2.0 / s2 * e,
+                             c=lambda: 4.0 / s2**2 * e)
 
     return radial
 
@@ -133,26 +144,44 @@ def shifted_gaussian(center, scale: float) -> SmoothFunction:
 def bump_radial_profile(center: float, width: float) -> PiecewiseProfile:
     """g(r) = (1 - ((r-c)/w)^2)^3 on [c-w, c+w], 0 elsewhere, as exact
     polynomial pieces; requires c > w so the support avoids the origin.
-    numpy maps r to t = (r - c)/w through the polynomial's domain."""
+
+    The sextic (1 - t^2)^3 is kept in t = off + scl*r with numpy's
+    domain-to-window map of [lo, hi] onto [-1, 1], off = (-hi - lo)/(hi - lo)
+    and scl = 2/(hi - lo), which is exactly -1 and 1 at the ends (the plain
+    (r - c)/w is not), so g vanishes exactly at c - w and c + w."""
     if center <= width:
         raise ValueError("profile support must avoid the origin")
     lo, hi = center - width, center + width
-    poly = np.polynomial.Polynomial([1, 0, -3, 0, 3, 0, -1], domain=[lo, hi])
+    sextic = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)
     return PiecewiseProfile(
         [
             PowerPiece(0.0, lo, 0.0, 0.0),
-            PolyPiece(lo, hi, poly),
+            PolyPiece(lo, hi, sextic, (-hi - lo) / (hi - lo), 2.0 / (hi - lo)),
             PowerPiece(hi, _INF, 0.0, 0.0),
         ]
     )
 
 
+def _over(x, y):
+    """x / y, and 0 where y = 0."""
+    return np.divide(x, y, out=np.zeros_like(x), where=y != 0.0)
+
+
 def _profile_radial(profile: PiecewiseProfile):
-    """The radial part of u(x) = g(|x|) for a piecewise profile g."""
-    def radial(q):
+    """The radial part of u(x) = g(|x|) for a piecewise profile g.
+
+    A profile constant near 0 (a first power piece of power 0, as every
+    shell and mode profile has) has g' = g'' = 0 there, so b = g'/r and
+    c = (g'' - b)/r^2 take their limit 0 at the origin."""
+    first = profile.pieces[0]
+    div = (_over if isinstance(first, PowerPiece) and first.power == 0.0
+           else np.divide)
+
+    def radial(q, want):
         r = np.sqrt(q)
-        b = profile.deriv(r) / r
-        return profile.value(r), b, (profile.deriv2(r) - b) / q
+        b = div(profile.deriv(r), r) if want != "g" else None  # c needs b
+        return _radial_parts(want, g=lambda: profile.value(r), b=lambda: b,
+                             c=lambda: div(profile.deriv2(r) - b, q))
 
     return radial
 

@@ -1,21 +1,25 @@
 """Piecewise radial profiles for near-extremal trial functions.
 
 A profile is a list of pieces, each either a pure power c*r^a or a polynomial
-(the smooth join).  Pure-power pieces admit closed-form weighted integrals,
-including the improper head at 0 and tail at infinity whose 1/eps growth
-carries the sharpness information; polynomial pieces live on a fixed finite
-interval and are integrated with ``quad``'s 80-point Gauss-Legendre rule,
-which is exact to machine precision for these smooth integrands.
+(the smooth join, the shell bump).  Pure-power pieces admit closed-form
+weighted integrals, including the improper head at 0 and tail at infinity
+whose 1/eps growth carries the sharpness information.  A polynomial piece is
+a tuple of coefficients in t = off + scl*r, evaluated by Horner's rule; it
+lives on a fixed finite interval and is integrated with ``quad``'s 80-point
+Gauss-Legendre rule, which is exact to machine precision for these smooth
+integrands.  Each polynomial piece keeps that panel, with its values and
+first two derivatives at the nodes, from its first integral on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf
 
 import numpy as np
 
-from .quad import DivergenceError, legendre_integral
+from .quad import DivergenceError, _legendre_panel, legendre_integral
 
 __all__ = [
     "PowerPiece",
@@ -53,28 +57,64 @@ class PowerPiece:
         return self.coef * a * (a - 1.0) * r ** (a - 2.0)
 
 
+def _horner(c, t):
+    """sum_j c[j] t^j by Horner's rule, step for step as numpy's polyval."""
+    out = c[-1] + 0.0 * t
+    for a in c[-2::-1]:
+        out = out * t + a
+    return out
+
+
+def _derivative(c, scl):
+    """Coefficients of d/dr of sum_j c[j] t^j with t = off + scl*r: the
+    j-th is (j + 1) (c[j + 1] scl), formed as numpy's polyder forms it."""
+    return tuple(j * (c[j] * scl) for j in range(1, len(c))) or (0.0,)
+
+
 @dataclass(frozen=True)
 class PolyPiece:
+    """g(r) = sum_j coef[j] t^j on [lo, hi], with t = off + scl*r.
+
+    (off, scl) is numpy's map from a polynomial's domain to its window, so
+    ``PolyPiece(lo, hi, coef, off, scl)`` agrees bit for bit with numpy's
+    ``Polynomial(coef, domain=...)`` and its derivatives; the identity map
+    (0, 1) takes coefficients in r.  The tables of g' and g'' are built once,
+    here, and all three are evaluated by ``_horner``.
+    """
+
     lo: float
     hi: float
-    poly: np.polynomial.Polynomial
-    # poly' and poly'', built once in __post_init__ and left out of
-    # equality, hash and repr
-    _d1: np.polynomial.Polynomial = field(init=False, repr=False, compare=False)
-    _d2: np.polynomial.Polynomial = field(init=False, repr=False, compare=False)
+    coef: tuple
+    off: float = 0.0
+    scl: float = 1.0
+    # the coefficient tables of g' and g'', left out of equality, hash and
+    # repr
+    _d1: tuple = field(init=False, repr=False, compare=False)
+    _d2: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_d1", self.poly.deriv(1))
-        object.__setattr__(self, "_d2", self.poly.deriv(2))
+        coef = tuple(float(c) for c in self.coef)
+        d1 = _derivative(coef, self.scl)
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "_d1", d1)
+        object.__setattr__(self, "_d2", _derivative(d1, self.scl))
 
     def value(self, r):
-        return self.poly(r)
+        return _horner(self.coef, self.off + self.scl * r)
 
     def deriv(self, r):
-        return self._d1(r)
+        return _horner(self._d1, self.off + self.scl * r)
 
     def deriv2(self, r):
-        return self._d2(r)
+        return _horner(self._d2, self.off + self.scl * r)
+
+    @cached_property
+    def _panel(self):
+        """(r, w, half, g, g', g''): the piece's Gauss-Legendre nodes, the
+        weights on [-1, 1], (hi - lo)/2 and the three fields at the nodes,
+        computed on first use."""
+        r, w, half = _legendre_panel(_GL_POINTS, self.lo, self.hi)
+        return r, w, half, self.value(r), self.deriv(r), self.deriv2(r)
 
 
 def _power_integral(c: float, s: float, lo: float, hi: float) -> float:
@@ -102,6 +142,7 @@ class PiecewiseProfile:
         for a, b in zip(self.pieces, self.pieces[1:]):
             if a.hi != b.lo:
                 raise ValueError("pieces must be contiguous")
+        self._his = np.array([p.hi for p in self.pieces])
 
     @property
     def breakpoints(self):
@@ -110,17 +151,22 @@ class PiecewiseProfile:
         return tuple(x for x in pts if x != inf)
 
     def _eval(self, r, attr):
+        """Field ``attr`` of the piece holding each point: the first piece
+        is closed at lo, every other is (lo, hi]; 0 outside them all."""
         r = np.asarray(r, dtype=float)
         single = r.ndim == 0
         r = np.atleast_1d(r)
-        out = np.zeros_like(r)
-        for i, p in enumerate(self.pieces):
-            if i == 0:
-                mask = (r >= p.lo) & (r <= p.hi)
-            else:
-                mask = (r > p.lo) & (r <= p.hi)
-            if np.any(mask):
-                out[mask] = getattr(p, attr)(r[mask])
+        n = len(self.pieces)
+        idx = np.searchsorted(self._his, r)
+        idx[r < self.pieces[0].lo] = n
+        first = idx.flat[0] if idx.size else n
+        if first < n and np.all(idx == first):
+            out = getattr(self.pieces[first], attr)(r)
+        else:
+            out = np.zeros_like(r)
+            for i in np.unique(idx[idx < n]):
+                mask = idx == i
+                out[mask] = getattr(self.pieces[i], attr)(r[mask])
         return float(out[0]) if single else out
 
     def value(self, r):
@@ -153,14 +199,15 @@ class PiecewiseProfile:
             return _power_integral(
                 abs(base) ** p, shift * p + exponent, piece.lo, piece.hi
             )
-        field = {
-            "value": piece.value,
-            "deriv": piece.deriv,
-            "laplacian": lambda r: piece.deriv2(r) + (nbar - 1.0) * piece.deriv(r) / r,
-        }[kind]
-        return legendre_integral(
-            lambda r: np.abs(field(r)) ** p, exponent, piece.lo, piece.hi, _GL_POINTS
-        )
+        r, w, half, g, g1, g2 = piece._panel
+        if kind == "value":
+            f = g
+        elif kind == "deriv":
+            f = g1
+        else:
+            f = g2 + (nbar - 1.0) * g1 / r
+        # legendre_integral's sum on the cached panel
+        return half * float(np.sum(w * (np.abs(f) ** p * r**exponent)))
 
     def integral_value_power(self, p: float, exponent: float) -> float:
         """int |u|^p r^exponent dr in closed form."""
@@ -229,16 +276,16 @@ def step_power_profile(power: float) -> PiecewiseProfile:
     )
 
 
-def _quintic_join(x0: float, x1: float, left, right) -> np.polynomial.Polynomial:
-    """Unique degree-5 polynomial matching (value, d1, d2) at both ends."""
+def _quintic_join(x0: float, x1: float, left, right) -> tuple:
+    """Coefficients in r of the unique degree-5 polynomial matching
+    (value, d1, d2) at both ends."""
     rows, rhs = [], []
     for x, (v, d1, d2) in ((x0, left), (x1, right)):
         rows.append([x**j for j in range(6)])
         rows.append([j * x ** (j - 1) if j >= 1 else 0.0 for j in range(6)])
         rows.append([j * (j - 1) * x ** (j - 2) if j >= 2 else 0.0 for j in range(6)])
         rhs.extend([v, d1, d2])
-    coeffs = np.linalg.solve(np.array(rows), np.array(rhs))
-    return np.polynomial.Polynomial(coeffs)
+    return tuple(np.linalg.solve(np.array(rows), np.array(rhs)))
 
 
 def mollified_power_profile(power: float) -> PiecewiseProfile:
@@ -252,7 +299,7 @@ def mollified_power_profile(power: float) -> PiecewiseProfile:
     h = JOIN_HALF_WIDTH
     x1 = 1.0 + h
     b = power
-    poly = _quintic_join(
+    coef = _quintic_join(
         1.0 - h,
         x1,
         (1.0, 0.0, 0.0),
@@ -261,7 +308,7 @@ def mollified_power_profile(power: float) -> PiecewiseProfile:
     return PiecewiseProfile(
         [
             PowerPiece(0.0, 1.0 - h, 1.0, 0.0),
-            PolyPiece(1.0 - h, x1, poly),
+            PolyPiece(1.0 - h, x1, coef),
             PowerPiece(x1, inf, 1.0, b),
         ]
     )

@@ -17,7 +17,8 @@ from dunkl_lab.corpus import (
     shifted_gaussian,
 )
 from dunkl_lab.domains import DomainSpec, distance_data
-from dunkl_lab.polyalg import variable
+from dunkl_lab.polyalg import constant, variable
+from dunkl_lab.profiles import mollified_power_profile
 from dunkl_lab.quad import (
     jitter_off_hyperplanes,
     sphere_rule,
@@ -96,6 +97,27 @@ def test_mode_hessians_match_gradient_differences(rng):
             assert np.allclose(H[:, :, j], fd, rtol=1e-6, atol=1e-6), name
         assert np.allclose(np.trace(H, axis1=1, axis2=2), u.laplacian(X),
                            rtol=1e-12, atol=1e-12), name
+
+
+@pytest.mark.filterwarnings("error")
+def test_radial_profile_functions_take_their_limit_at_the_origin(rng):
+    # profiles constant near 0: g'/r and (g'' - g'/r)/r^2 tend to 0, so the
+    # derivatives at the origin are zeros, with no division warning
+    x = variable(0, 3)
+    origin = np.zeros((1, 3))
+    X = rng.normal(size=(4, 3))
+    for u, g0 in ((radial_shell_bump(1.5, 0.9, 3), 0.0),
+                  (mode_function(bump_radial_profile(1.5, 0.9), x), 0.0),
+                  (mode_function(mollified_power_profile(-3.0),
+                                 constant(3, 1)), 1.0)):
+        assert np.array_equal(u.value(origin), [g0])
+        assert np.array_equal(u.gradient(origin), np.zeros((1, 3)))
+        assert np.array_equal(u.laplacian(origin), [0.0])
+        assert np.array_equal(u.hessian(origin), np.zeros((1, 3, 3)))
+        # the origin leaves the other points of a batch alone
+        both = np.vstack([origin, X])
+        for f in (u.value, u.gradient, u.laplacian, u.hessian):
+            assert np.array_equal(f(both)[1:], f(X))
 
 
 def test_bump_radial_profile_is_the_mapped_sextic():
