@@ -42,7 +42,6 @@ from .harmonics import (
     hharmonic_dim,
     kernel_basis,
     parseval_residual,
-    reconstruct,
 )
 from .domains import DomainSpec, DistanceData, distance_data, equivariance_check
 from .profiles import PiecewiseProfile, hardy_p_profile, mollified_power_profile

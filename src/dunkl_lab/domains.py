@@ -125,10 +125,9 @@ def equivariance_check(spec: DomainSpec, rs: RootSystem, samples) -> float:
     g grad delta(x)|; the distance gradient must commute with the group."""
     data = distance_data(spec, rs)
     X = np.atleast_2d(np.asarray(samples, dtype=float))
-    G = generate_group(rs)
     worst = 0.0
     base = data.grad_delta(X)
-    for g in G.elements:
+    for g in generate_group(rs):
         lhs = data.grad_delta(X @ g.T)
         rhs = base @ g.T
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))

@@ -1,6 +1,7 @@
 """Spherical h-harmonics: exact kernel bases of the Dunkl Laplacian on
-homogeneous polynomials, orthonormalized on the weighted sphere, plus
-spectral expansion, Parseval, and the mean-projection identities.
+homogeneous polynomials, made orthonormal from exact omega_k-weighted
+sphere means, plus spectral expansion, Parseval, and the mean-projection
+identities.
 Functions u are callables on (M, N) batches of points; the sphere and
 polar grids come from ``quad``.
 """
@@ -12,14 +13,13 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .polyalg import (
     Polynomial,
     _require_exact,
-    constant,
     dunkl_laplacian_fast,
     norm_squared,
+    sphere_mean,
 )
 from .quad import (
     RadialGrid,
@@ -28,6 +28,7 @@ from .quad import (
     polar_values,
     radial_nodes,
     reflected_stack,
+    sphere_weight_integral,
     weighted_sphere,
 )
 from .reflection import RootSystem
@@ -44,7 +45,6 @@ __all__ = [
     "eigenvalue",
     "sphere_eigencheck",
     "expand",
-    "reconstruct",
     "parseval_residual",
     "mean_projection_invariance",
     "cross_term_bound_check",
@@ -133,10 +133,7 @@ class HHarmonicBasis:
     degree: int
     dimension: int
     kernel_polys: list  # exact rational kernel of the Dunkl Laplacian
-    transform: np.ndarray  # (d, d) orthonormalization, rows are ON combos
-    gram: np.ndarray  # post-orthonormalization Gram matrix
-    gram_condition: float
-    orthonormalized: bool
+    transform: np.ndarray  # (d, d) inverse Cholesky factor of the Gram matrix
 
     def evaluate(self, points) -> np.ndarray:
         """Orthonormal basis values, shape (d, M)."""
@@ -177,30 +174,26 @@ def kernel_basis(rs: RootSystem, n: int) -> list:
 
 
 def build_basis(rs: RootSystem, n: int, rule: SphericalRule) -> HHarmonicBasis:
-    """Exact kernel basis orthonormalized against the weighted sphere rule."""
+    """Exact kernel basis made orthonormal in <f, g> = int_S f g omega_k.
+
+    The Gram matrix is G_ij = S_k mean(p_i p_j), with the exact sphere means
+    of ``polyalg.sphere_mean`` and S_k = ``quad.sphere_weight_integral``, the
+    one number the rule supplies.  With G = L L^T (Cholesky), the transform
+    L^-1 is the lower-triangular map Gram-Schmidt would build.
+    """
     polys = kernel_basis(rs, n)
+    mean = sphere_mean(rs)
+    sk = sphere_weight_integral(rs, rule)
     d = len(polys)
-    nodes, wsph = weighted_sphere(rs, rule)
-    vals = np.array([p.evaluate(nodes) for p in polys])
-    gram0 = (vals * wsph) @ vals.T
-    cond = float(np.linalg.cond(gram0))
-    # modified Gram-Schmidt in the weighted inner product, two passes
-    T = np.eye(d)
-    V = vals.copy()
+    gram = np.empty((d, d))
     for i in range(d):
-        for _ in range(2):
-            for j in range(i):
-                proj = float(np.sum(wsph * V[i] * V[j]))
-                V[i] -= proj * V[j]
-                T[i] -= proj * T[j]
-        norm = np.sqrt(float(np.sum(wsph * V[i] ** 2)))
-        if norm < 1e-13:
-            raise ArithmeticError("degenerate h-harmonic Gram matrix")
-        V[i] /= norm
-        T[i] /= norm
-    gram = (V * wsph) @ V.T
-    ok = bool(np.max(np.abs(gram - np.eye(d))) < 1e-8)
-    return HHarmonicBasis(n, d, polys, T, gram, cond, ok)
+        for j in range(i + 1):
+            gram[i, j] = gram[j, i] = sk * float(mean(polys[i] * polys[j]))
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError("degenerate h-harmonic Gram matrix") from exc
+    return HHarmonicBasis(n, d, polys, np.linalg.inv(chol))
 
 
 def sphere_eigencheck(rs: RootSystem, p: Polynomial) -> Polynomial:
@@ -229,23 +222,15 @@ def sphere_eigencheck(rs: RootSystem, p: Polynomial) -> Polynomial:
 
 @dataclass
 class SpectralCoefficients:
-    n_max: int
     radii: np.ndarray
     radial_weights: np.ndarray
     tables: dict  # (n, i) -> coefficient values at radii
-    bases: list  # HHarmonicBasis for n = 0..n_max
-
-    def spline(self, n: int, i: int) -> CubicSpline:
-        return CubicSpline(self.radii, self.tables[(n, i)])
 
 
 def expand(
     rs: RootSystem, u, bases, grid: RadialGrid, rule: SphericalRule
 ) -> SpectralCoefficients:
     """Tabulate u_{n,i}(r) = int_{S} u(r xi) Y_i^n(xi) omega_k(xi) dnu(xi)."""
-    for b in bases:
-        if not b.orthonormalized:
-            raise ValueError("expansion requires orthonormal bases")
     nodes, wsph = weighted_sphere(rs, rule)
     r, wr = radial_nodes(grid)
     U = polar_values(u, r, nodes)
@@ -255,18 +240,7 @@ def expand(
         coeffs = U @ (Y * wsph).T  # (Mr, d)
         for i in range(b.dimension):
             tables[(b.degree, i)] = coeffs[:, i]
-    return SpectralCoefficients(max(b.degree for b in bases), r, wr, tables, list(bases))
-
-
-def reconstruct(coeffs: SpectralCoefficients, r: float, xi) -> float:
-    """Sum of u_{n,i}(r) Y_i^n(xi) over all tabulated modes."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    total = 0.0
-    for b in coeffs.bases:
-        Y = b.evaluate(xi)[:, 0]
-        for i in range(b.dimension):
-            total += coeffs.spline(b.degree, i)(r) * Y[i]
-    return float(total)
+    return SpectralCoefficients(r, wr, tables)
 
 
 def parseval_residual(

@@ -254,17 +254,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def evaluate_exact(self, point):
-        vals = [_frac(v) for v in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for v, m in zip(vals, e):
-                for _ in range(m):
-                    t *= v
-            total += t
-        return total
-
     def evaluate(self, points) -> np.ndarray:
         """Float evaluation at a batch of points (M, N) (or a single (N,))."""
         X = np.asarray(points, dtype=float)

@@ -25,7 +25,6 @@ __all__ = [
     "Root",
     "RootSystem",
     "SignedPermutation",
-    "ReflectionGroup",
     "SingularPointError",
     "build_root_system",
     "embed_root_system",
@@ -173,13 +172,6 @@ class RootSystem:
         return [
             (r, k) for r, k in zip(self.positive_roots, self.multiplicities) if k != 0
         ]
-
-
-@dataclass(frozen=True)
-class ReflectionGroup:
-    """Closure of the generating reflections under matrix multiplication."""
-
-    elements: tuple  # float (N, N) ndarrays
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +343,10 @@ def reflection_jacobian(root: Root) -> float:
     return float(np.linalg.det(np.eye(root.dim) - np.outer(a, a)))
 
 
-def generate_group(rs: RootSystem) -> ReflectionGroup:
-    """Breadth-first closure of the generating reflections in floating
-    point; two products are the same element when their entries agree to
-    9 decimals."""
+def generate_group(rs: RootSystem) -> tuple:
+    """The group elements as float (N, N) matrices: the breadth-first
+    closure of the generating reflections under matrix multiplication; two
+    products are the same element when their entries agree to 9 decimals."""
     gens = [reflection_matrix(r, exact=False) for r in rs.positive_roots]
     ident = np.eye(rs.dimension)
 
@@ -378,7 +370,7 @@ def generate_group(rs: RootSystem) -> ReflectionGroup:
                             "elements; input is not a valid finite root system"
                         )
         frontier = nxt
-    return ReflectionGroup(elements=tuple(seen.values()))
+    return tuple(seen.values())
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import dunkl_lab
@@ -24,3 +27,12 @@ def test_package_reexports_only_public_names():
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
             assert getattr(dunkl_lab, alias.name) is getattr(module, alias.name)
+
+
+def test_import_loads_no_interpolation_layer():
+    # a fresh interpreter, so that no other test's imports count
+    code = "import sys, dunkl_lab; print('scipy.interpolate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(dunkl_lab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -83,7 +83,6 @@ def test_arithmetic_and_evaluation(rng):
     assert p == q
     pts = rng.normal(size=(7, 2))
     assert np.allclose(p.evaluate(pts), pts[:, 0] ** 2 - pts[:, 1] ** 2)
-    assert p.evaluate_exact((Fraction(1, 2), Fraction(1, 3))) == Fraction(5, 36)
 
 
 def test_partial_derivative():
