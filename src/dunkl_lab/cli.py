@@ -88,13 +88,12 @@ def _random_exact_polynomials(N: int, count: int, max_degree: int = 3):
 
     out = []
     for _ in range(count):
-        p = Polynomial(N)
+        terms = {}
         deg = int(rng.integers(1, max_degree + 1))
         for d in range(deg + 1):
             for e in homogeneous_exponents(d, N):
-                c = int(rng.integers(-3, 4))
-                if c:
-                    p = p + Polynomial(N, {e: Fraction(c)})
+                terms[e] = int(rng.integers(-3, 4))
+        p = Polynomial(N, terms)
         if p.is_zero():
             p = norm_squared(N)
         out.append(p)

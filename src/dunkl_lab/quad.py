@@ -9,6 +9,12 @@ the unit sphere.  Radial integration handles the two improper ends that the
 extremizer sweeps produce: an integrable power singularity at r = 0 and a
 power-law tail r^s with s < -1 at infinity.  Both get dedicated Gauss-Jacobi
 rules so the 1/eps mass of near-extremal profiles is captured exactly.
+
+The Gauss-Jacobi rules (and the Gauss-Gegenbauer rules of the sphere) come
+from the Golub-Welsch construction (Math. Comp. 23, 1969) on numpy alone: the
+nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of the
+three-term recurrence, polished by one Newton step, and each weight is the
+weight's total mass times the squared first component of its eigenvector.
 """
 
 from __future__ import annotations
@@ -16,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma as gamma_fn
-from math import pi, sqrt
+from math import exp, lgamma, log, pi, sqrt
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .dunklnum import dunkl_gradient
 from .reflection import RootSystem, near_hyperplane, reflect, weight
@@ -108,7 +113,42 @@ def legendre_integral(g, exponent: float, a: float, b: float, n: int) -> float:
 
 @lru_cache(maxsize=None)
 def _jacobi(n: int, alpha: float, beta: float):
-    return roots_jacobi(n, alpha, beta)
+    """n-point Gauss rule (nodes, weights) for the weight
+    (1 - x)^alpha (1 + x)^beta on [-1, 1]."""
+    if n < 1 or alpha <= -1.0 or beta <= -1.0:
+        raise ValueError("need n >= 1 and alpha, beta > -1")
+    a, b = float(alpha), float(beta)
+    s = a + b
+    # monic recurrence p_(k+1) = (x - diag[k]) p_k - off2[k-1] p_(k-1); the
+    # k = 0 terms in closed form: the general ones divide by zero at s = 0 and
+    # s = -1
+    diag = np.empty(n)
+    diag[0] = (b - a) / (s + 2.0)
+    k = np.arange(1.0, n)
+    diag[1:] = (b * b - a * a) / ((2.0 * k + s) * (2.0 * k + s + 2.0))
+    off2 = np.empty(n)
+    off2[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + s) ** 2 * (3.0 + s))
+    k = np.arange(2.0, n + 1.0)
+    off2[1:] = (4.0 * k * (k + a) * (k + b) * (k + s)
+                / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0)))
+    # the Jacobi matrix; eigh reads its lower triangle
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(np.sqrt(off2[:-1]), -1))
+    # the eigensolver leaves errors of a few ulps of |J| in the nodes; one
+    # Newton step on p_n removes them, which counts where 1 + x is tiny
+    # (at n = 64, beta = -0.9999 it is 5e-8 at the first node)
+    p_prev, p, d_prev, d = 0.0, 1.0, 0.0, 0.0
+    for i in range(n):
+        xa = x - diag[i]
+        bi = off2[i - 1] if i else 0.0
+        p_prev, p, d_prev, d = p, xa * p - bi * p_prev, d, p + xa * d - bi * d_prev
+    x = x - p / d
+    # mu_0 = 2^(s+1) B(a+1, b+1), the weight's total mass
+    mu0 = exp((s + 1.0) * log(2.0) + lgamma(a + 1.0) + lgamma(b + 1.0)
+              - lgamma(s + 2.0))
+    w = mu0 * v[0] ** 2
+    if a == b:
+        x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    return x, w
 
 
 @lru_cache(maxsize=None)

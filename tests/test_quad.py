@@ -1,13 +1,15 @@
+from math import exp, lgamma, log, pi, sqrt
 from math import gamma as gamma_fn
-from math import pi, sqrt
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from dunkl_lab.corpus import ball_bump, shifted_gaussian
 from dunkl_lab.quad import (
     DivergenceError,
     RadialGrid,
+    _jacobi,
     _support_mask,
     integrate_measure,
     integrate_radial,
@@ -96,6 +98,40 @@ def test_sphere_weight_integral_b2_oracle():
     w = ((x - y) ** 2 * (x + y) ** 2) * (2 * x**2) * (2 * y**2)
     oracle = float(np.mean(w)) * 2 * pi
     assert got == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(a, a) for a in (0.0, 0.5, 1.0, 2.5)]
+    + [(0.0, b) for b in (-0.9999, -0.999, -0.7, 2.5, 12.5)],
+)
+def test_jacobi_rule_matches_beta_moments(alpha, beta):
+    # int (1-x)^alpha (1+x)^(beta+j) dx = 2^(alpha+beta+j+1) B(alpha+1, beta+j+1),
+    # m_0 from lgamma and m_(j+1) = m_j * 2 (beta+j+1) / (alpha+beta+j+2).
+    # At beta = -0.9999 rounding x itself costs 1 + x up to 3e-13; without
+    # the Newton step on the nodes the worst moment is off by 5e-12
+    m0 = exp((alpha + beta + 1.0) * log(2.0) + lgamma(alpha + 1.0)
+             + lgamma(beta + 1.0) - lgamma(alpha + beta + 2.0))
+    for n in (1, 2, 8, 16, 48, 64):
+        x, w = _jacobi(n, alpha, beta)
+        exact = m0
+        for j in range(2 * n):
+            assert np.sum(w * (1.0 + x) ** j) == pytest.approx(exact, rel=2e-12), (n, j)
+            exact *= 2.0 * (beta + j + 1.0) / (alpha + beta + j + 2.0)
+        # scipy only as an oracle for the nodes; its weights lose digits as
+        # beta -> -1
+        np.testing.assert_allclose(x, roots_jacobi(n, alpha, beta)[0], rtol=0, atol=1e-14)
+        if alpha == beta:
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+            if n % 2:
+                assert x[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("n,alpha,beta", [(0, 0.0, 0.0), (4, 0.0, -1.0),
+                                          (4, -1.5, 0.0)])
+def test_jacobi_rule_rejects_empty_or_nonintegrable_weight(n, alpha, beta):
+    with pytest.raises(ValueError):
+        _jacobi(n, alpha, beta)
 
 
 def test_radial_closed_form_power():
