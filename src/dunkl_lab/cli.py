@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from .harmonics import eigenvalue, hharmonic_dim, kernel_basis, sphere_eigencheck
 from .inequalities import (
@@ -83,16 +82,16 @@ def _build_system(cfg):
 
 
 def _random_exact_polynomials(N: int, count: int, max_degree: int = 3):
-    rng = np.random.default_rng(12345)
+    rng = random.Random(12345)
     from .harmonics import homogeneous_exponents
 
     out = []
     for _ in range(count):
         terms = {}
-        deg = int(rng.integers(1, max_degree + 1))
+        deg = rng.randint(1, max_degree)
         for d in range(deg + 1):
             for e in homogeneous_exponents(d, N):
-                terms[e] = int(rng.integers(-3, 4))
+                terms[e] = rng.randint(-3, 3)
         p = Polynomial(N, terms)
         if p.is_zero():
             p = norm_squared(N)

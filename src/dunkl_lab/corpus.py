@@ -273,9 +273,7 @@ def random_damped_polynomial(rng, N: int, degree: int) -> SmoothFunction:
     for d in range(degree + 1):
         exps.extend(homogeneous_exponents(d, N))
     coeffs = rng.uniform(-1.0, 1.0, size=len(exps))
-    p = Polynomial(N)
-    for e, c in zip(exps, coeffs):
-        p = p + Polynomial(N, {e: Fraction(round(c * 64), 64)})
+    p = Polynomial(N, {e: Fraction(round(c * 64), 64) for e, c in zip(exps, coeffs)})
     return _product(np.zeros(N), _gaussian(1.0), p)
 
 
@@ -320,6 +318,8 @@ def mode_corpus(rs, rng, count: int, degrees=(0, 1, 2, 3), rule=None):
     harmonic since they do not depend on the radial profile."""
     from .harmonics import kernel_basis
 
+    if not degrees:
+        raise ValueError("mode_corpus needs at least one degree")
     bases = {n: kernel_basis(rs, n) for n in set(degrees)}
     if rule is None:
         rule = _default_mode_rule(rs, max(degrees))

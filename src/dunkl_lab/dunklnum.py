@@ -11,6 +11,7 @@ The origin lies on every hyperplane, so both limits hold there too.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +70,9 @@ class SmoothFunction:
         return self.value(X)
 
     def _check_gradient(self):
-        rng = np.random.default_rng(_PROBE_RNG_SEED)
-        X = rng.uniform(-1.0, 1.0, size=(4, self.dimension))
+        rng = random.Random(_PROBE_RNG_SEED)
+        X = np.array([[rng.uniform(-1.0, 1.0) for _ in range(self.dimension)]
+                      for _ in range(4)])
         g = np.asarray(self.gradient(X), dtype=float)
         fd = np.empty_like(g)
         for j in range(self.dimension):

@@ -10,8 +10,9 @@ extremizer sweeps produce: an integrable power singularity at r = 0 and a
 power-law tail r^s with s < -1 at infinity.  Both get dedicated Gauss-Jacobi
 rules so the 1/eps mass of near-extremal profiles is captured exactly.
 
-The Gauss-Jacobi rules (and the Gauss-Gegenbauer rules of the sphere) come
-from the Golub-Welsch construction (Math. Comp. 23, 1969) on numpy alone: the
+The Gauss-Legendre, Gauss-Jacobi and Gauss-Gegenbauer rules (the panels, the
+radial head and tail, the sphere) all come from one Golub-Welsch
+construction (Math. Comp. 23, 1969) on numpy alone, ``_jacobi``: the
 nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of the
 three-term recurrence, polished by one Newton step, and each weight is the
 weight's total mass times the squared first component of its eigenvector.
@@ -93,14 +94,10 @@ def sphere_surface(N: int) -> float:
     return 2.0 * pi ** (N / 2.0) / gamma_fn(N / 2.0)
 
 
-@lru_cache(maxsize=None)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _legendre_panel(n: int, a: float, b: float):
-    """Gauss-Legendre nodes on [a, b], weights on [-1, 1], and (b - a)/2."""
-    x, w = _leggauss(n)
+    """Gauss-Legendre nodes on [a, b], weights on [-1, 1], and (b - a)/2;
+    Gauss-Legendre is Gauss-Jacobi at alpha = beta = 0."""
+    x, w = _jacobi(n, 0.0, 0.0)
     half = (b - a) / 2.0
     return (a + b) / 2.0 + half * x, w, half
 

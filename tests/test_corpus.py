@@ -244,3 +244,16 @@ def test_mode_corpus_reads_one_weighted_sphere(rs_z23, rng, monkeypatch):
     monkeypatch.setattr(quad, "weight", counted)
     mode_corpus(rs_z23, rng, 12, degrees=(0, 1, 2))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("with_rule", [False, True])
+def test_mode_corpus_rejects_empty_degrees(rs_z23, rng, monkeypatch, with_rule):
+    # a usage error, raised before omega_k is read on any sphere rule
+    import dunkl_lab.quad as quad
+
+    calls = []
+    monkeypatch.setattr(quad, "weight", lambda rs, X: calls.append(len(X)))
+    rule = sphere_rule(3, 4) if with_rule else None
+    with pytest.raises(ValueError, match="at least one degree"):
+        mode_corpus(rs_z23, rng, 4, degrees=(), rule=rule)
+    assert calls == []

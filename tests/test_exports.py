@@ -38,3 +38,24 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_verify_run_loads_no_numpy_random_or_polynomial(tmp_path):
+    # a fresh interpreter runs a whole verify suite and builds a bump (the
+    # gradient check draws probe points); neither may load numpy.random or
+    # numpy.polynomial.  numpy < 2 imports both from its own __init__, so
+    # only modules loaded after `import numpy` count.
+    code = (
+        "import sys, numpy; before = set(sys.modules)\n"
+        "from dunkl_lab import cli\n"
+        "from dunkl_lab.corpus import ball_bump\n"
+        "assert cli.main(['verify', 'all', '--family', 'Z2', '--rank', '3',"
+        f" '--out', {str(tmp_path)!r}]) == 0\n"
+        "ball_bump([0.5, 0.0, 0.0], 0.3)\n"
+        "print(sorted(m for m in set(sys.modules) - before"
+        " if m.startswith(('numpy.random', 'numpy.polynomial'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dunkl_lab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -85,19 +85,15 @@ def test_closed_form_matches_quadrature_on_poly_piece():
     assert got == pytest.approx(oracle, rel=1e-9)
 
 
-def test_gauss_rule_is_built_once(monkeypatch):
-    # profile integrals reuse quad's cached Gauss-Legendre rule
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(
-        np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n)
-    )
-    dl_quad._leggauss.cache_clear()
+def test_gauss_rule_is_built_once():
+    # profile integrals reuse quad's cached Gauss-Legendre rule; a cache miss
+    # of quad._jacobi is one rule built
+    dl_quad._jacobi.cache_clear()
     oracle_quotient("rellich", 9.0, 0.01)
-    first = len(calls)
+    first = dl_quad._jacobi.cache_info().misses
     oracle_quotient("rellich", 9.0, 0.01)
     assert first == 1
-    assert len(calls) == first
+    assert dl_quad._jacobi.cache_info().misses == first
 
 
 def _numpy_oracle(pc):

@@ -10,6 +10,7 @@ from dunkl_lab.quad import (
     DivergenceError,
     RadialGrid,
     _jacobi,
+    _legendre_panel,
     _support_mask,
     integrate_measure,
     integrate_radial,
@@ -112,7 +113,11 @@ def test_jacobi_rule_matches_beta_moments(alpha, beta):
     # the Newton step on the nodes the worst moment is off by 5e-12
     m0 = exp((alpha + beta + 1.0) * log(2.0) + lgamma(alpha + 1.0)
              + lgamma(beta + 1.0) - lgamma(alpha + beta + 2.0))
-    for n in (1, 2, 8, 16, 48, 64):
+    ns = (1, 2, 8, 16, 48, 64)
+    if alpha == beta == 0.0:
+        # the Gauss-Legendre panels: profiles' 80 points, and 128
+        ns += (80, 128)
+    for n in ns:
         x, w = _jacobi(n, alpha, beta)
         exact = m0
         for j in range(2 * n):
@@ -125,6 +130,14 @@ def test_jacobi_rule_matches_beta_moments(alpha, beta):
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
             if n % 2:
                 assert x[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 48, 80])
+def test_legendre_panel_matches_numpy_leggauss(n):
+    # numpy's leggauss only as an oracle for the nodes
+    x, w, half = _legendre_panel(n, -1.0, 1.0)
+    assert half == 1.0
+    np.testing.assert_allclose(x, np.polynomial.legendre.leggauss(n)[0], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n,alpha,beta", [(0, 0.0, 0.0), (4, 0.0, -1.0),
