@@ -43,7 +43,7 @@ from .harmonics import (
     kernel_basis,
     parseval_residual,
 )
-from .domains import DomainSpec, DistanceData, distance_data, equivariance_check
+from .domains import DomainSpec, DistanceData, distance_data
 from .profiles import PiecewiseProfile, hardy_p_profile, mollified_power_profile
 from .inequalities import (
     FUNCTIONALS,
@@ -51,7 +51,6 @@ from .inequalities import (
     OracleMismatchError,
     RayleighSweep,
     VerificationReport,
-    full_space_quotient,
     hardy_eps_check,
     hardy_remainder_check,
     mode_coefficients,

@@ -46,6 +46,22 @@ _DEFAULTS = {
 }
 
 
+# the JSON values a config file may give each key, as (types, description);
+# a bool is never one of them
+_NUMBER = (int, float)
+_CONFIG_TYPES = {
+    "family": ((str,), "a string"),
+    "rank": ((int,), "an integer"),
+    "k": ((str,) + _NUMBER, "a string or a number"),
+    "p": ((str,) + _NUMBER, "a string or a number"),
+    "eps": ((str,) + _NUMBER, "a string or a number"),
+    "tol": (_NUMBER + (type(None),), "a number or null"),
+    "quad_order": ((int,), "an integer"),
+    "nmax": ((int,), "an integer"),
+    "out": ((str,), "a string"),
+}
+
+
 class UsageError(ValueError):
     pass
 
@@ -298,6 +314,16 @@ def _merge_config(args) -> dict:
             key = key.replace("-", "_")
             if key not in cfg:
                 raise UsageError(f"unknown config key {key!r}")
+            types, description = _CONFIG_TYPES[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise UsageError(
+                    f"config key {key!r} takes {description}, not {value!r}"
+                )
+            # read a number as its flag's text (--k, --p, --eps) or float (--tol)
+            if key in ("k", "p", "eps"):
+                value = str(value)
+            elif key == "tol" and value is not None:
+                value = float(value)
             cfg[key] = value
     for key in cfg:
         value = getattr(args, key, None)

@@ -11,13 +11,12 @@ from math import sqrt
 
 import numpy as np
 
-from .reflection import RootSystem, generate_group
+from .reflection import RootSystem
 
 __all__ = [
     "DomainSpec",
     "DistanceData",
     "distance_data",
-    "equivariance_check",
 ]
 
 KINDS = ("punctured_space", "exterior_ball", "halfspace", "wedge_SN")
@@ -119,16 +118,3 @@ def distance_data(spec: DomainSpec, rs: RootSystem) -> DistanceData:
     # of the Dunkl Laplacian vanish along with the classical Laplacian
     return DistanceData(spec, delta, grad_delta, zero, zero, zero)
 
-
-def equivariance_check(spec: DomainSpec, rs: RootSystem, samples) -> float:
-    """Max over group elements g and samples x of |grad delta(gx) -
-    g grad delta(x)|; the distance gradient must commute with the group."""
-    data = distance_data(spec, rs)
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
-    worst = 0.0
-    base = data.grad_delta(X)
-    for g in generate_group(rs):
-        lhs = data.grad_delta(X @ g.T)
-        rhs = base @ g.T
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst

@@ -1,7 +1,6 @@
 """Spherical h-harmonics: exact kernel bases of the Dunkl Laplacian on
 homogeneous polynomials, made orthonormal from exact omega_k-weighted
-sphere means, plus spectral expansion, Parseval, and the mean-projection
-identities.
+sphere means, plus spectral expansion and the Parseval residual.
 Functions u are callables on (M, N) batches of points; the sphere and
 polar grids come from ``quad``.
 """
@@ -27,7 +26,6 @@ from .quad import (
     integrate_measure,
     polar_values,
     radial_nodes,
-    reflected_stack,
     sphere_weight_integral,
     weighted_sphere,
 )
@@ -36,7 +34,6 @@ from .reflection import RootSystem
 __all__ = [
     "HHarmonicBasis",
     "SpectralCoefficients",
-    "CrossTermReport",
     "hharmonic_dim",
     "homogeneous_exponents",
     "fraction_kernel",
@@ -46,8 +43,6 @@ __all__ = [
     "sphere_eigencheck",
     "expand",
     "parseval_residual",
-    "mean_projection_invariance",
-    "cross_term_bound_check",
 ]
 
 
@@ -255,48 +250,3 @@ def parseval_residual(
     mode_sum = sum(float(np.sum(wpow * c**2)) for c in coeffs.tables.values())
     return abs(total_sq - mode_sum) / (abs(total_sq) + 1e-300)
 
-
-def mean_projection_invariance(
-    rs: RootSystem, u, grid: RadialGrid, rule: SphericalRule
-) -> float:
-    """Max over positive roots of sup_r |mean(u o sigma)(r) - mean(u)(r)|,
-    means taken against omega_k dnu / S_k."""
-    nodes, wsph = weighted_sphere(rs, rule)
-    sk = float(np.sum(wsph))
-    r, _ = radial_nodes(grid)
-    base, *reflected = (polar_values(reflected_stack(rs, u), r, nodes) @ wsph) / sk
-    worst = 0.0
-    for refl in reflected:
-        worst = max(worst, float(np.max(np.abs(refl - base))))
-    return worst
-
-
-@dataclass
-class CrossTermReport:
-    entries: list  # (root index, lhs, rhs)
-    tolerance: float
-    passed: bool
-
-
-def cross_term_bound_check(
-    rs: RootSystem, u, grid: RadialGrid, rule: SphericalRule,
-    tolerance: float = 1e-8,
-) -> CrossTermReport:
-    """Per positive root alpha, check
-    int (u - u o sigma_alpha) u / |x|^4 dmu <= 2 int (u - mean u)^2 / |x|^4 dmu.
-    The corpus must vanish near the origin so both sides converge."""
-    nodes, wsph = weighted_sphere(rs, rule)
-    sk = float(np.sum(wsph))
-    exponent = rs.dimension + 2.0 * rs.gamma - 1.0
-    r, wr = radial_nodes(grid)
-    U, *reflected = polar_values(reflected_stack(rs, u), r, nodes)
-    mean = (U @ wsph) / sk
-    wrad = wr * r ** (exponent - 4.0)
-    rhs = 2.0 * float(wrad @ ((U - mean[:, None]) ** 2 @ wsph))
-    entries = []
-    ok = True
-    for idx, Us in enumerate(reflected):
-        lhs = float(wrad @ (((U - Us) * U) @ wsph))
-        entries.append((idx, lhs, rhs))
-        ok = ok and lhs <= rhs + tolerance * (abs(rhs) + 1.0)
-    return CrossTermReport(entries, tolerance, ok)

@@ -5,8 +5,8 @@ Hardy, L^2 Hardy, Rellich, weighted Hardy-Rellich, Hardy-Rellich): one row
 each holds the sharp constant in the effective dimension nbar = N + 2*gamma,
 the extremizer family, the admissibility rule, and the numerator and
 denominator as ``Term`` records.  Constants, extremizers, the closed-form,
-quadrature, full-space and single-mode quotients and the sweep's
-admissibility check all read that row.
+quadrature and single-mode quotients and the sweep's admissibility check
+all read that row.
 
 Sweeps evaluate each quotient twice per epsilon, once from closed-form power
 integrals and once by weighted quadrature on the same profile; the two paths
@@ -22,17 +22,11 @@ from typing import Callable
 import numpy as np
 
 from .domains import DomainSpec, distance_data
-from .dunklnum import (
-    SmoothFunction,
-    dunkl_gradient,
-    dunkl_laplacian_num,
-    dunkl_support,
-)
+from .dunklnum import dunkl_gradient, dunkl_support
 from .profiles import (
     PiecewiseProfile,
     _is_zero_piece,
     hardy_p_profile,
-    integrate_profile_expression,
     mollified_power_profile,
     step_power_profile,
 )
@@ -56,8 +50,6 @@ __all__ = [
     "sharpness_sweep",
     "alternate_exponent_limit",
     "mode_coefficients",
-    "mode_functional",
-    "full_space_quotient",
     "mode_quotient",
     "hardy_remainder_check",
     "hardy_eps_check",
@@ -82,8 +74,8 @@ class Term:
     gradient or Dunkl Laplacian (``field`` "value", "grad" or "lap").
 
     ``q = None`` stands for the family exponent p.  The radial shift is
-    s = k*q: the weight is |x|^s in full space (delta^s on a domain) and
-    r^(nbar-1+s) in one dimension.  ``head`` and ``tail`` give the power law
+    s = k*q: the weight |x|^s of dmu becomes r^(nbar-1+s) dr in one
+    dimension.  ``head`` and ``tail`` give the power law
     of the extremizer's 1-D integrand at r -> 0 and r -> inf: "eps" is the
     r^(eps-1) head or r^(-1-eps) tail that carries the 1/eps mass, "weight"
     is the weight's own power (the extremizer is constant there), and None
@@ -394,80 +386,6 @@ def mode_coefficients(N: int, gamma, n: int, C) -> ModeCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional weighted functionals
-
-
-def mode_functional(N: int, gamma, C, n: int, prof: PiecewiseProfile):
-    """The decomposed per-mode functional
-    I = int [u''^2 r^(nbar-1) + A_n u'^2 r^(nbar-3) + B_n u^2 r^(nbar-5)] dr
-    together with its claimed lower bound D_n int u^2 r^(nbar-5) dr.
-
-    Returns (I, bound, ok); the profile must be compactly supported away
-    from the origin.
-    """
-    co = mode_coefficients(N, gamma, n, C)
-    nbar = N + 2.0 * float(_rational(gamma))
-    mass = prof.integral_value_power(2.0, nbar - 5.0)
-    i_val = (
-        integrate_profile_expression(prof, lambda r: prof.deriv2(r) ** 2, nbar - 1.0)
-        + float(co.a_n) * prof.integral_deriv_power(2.0, nbar - 3.0)
-        + float(co.b_n) * mass
-    )
-    bound = float(co.d_n) * mass
-    ok = i_val >= bound - 1e-8 * (abs(bound) + 1.0)
-    return i_val, bound, ok
-
-
-# ---------------------------------------------------------------------------
-# full quotient functionals over R^N
-
-
-def _norms(X):
-    return np.linalg.norm(np.atleast_2d(X), axis=1)
-
-
-def _check_den(v: float):
-    if abs(v) < 1e-14:
-        raise DegenerateInputError("quotient denominator is numerically zero")
-
-
-def full_space_quotient(
-    rs: RootSystem,
-    u: SmoothFunction,
-    kind: str,
-    domain: DomainSpec,
-    grid: RadialGrid,
-    rule: SphericalRule,
-    p: float | None = None,
-) -> float:
-    """Numerator over denominator of ``kind`` for u against dmu, with the
-    weight |x|^s read as delta^s for the domain's distance function (delta
-    = |x| on the punctured space)."""
-    f = _functional(kind)
-    dd = distance_data(domain, rs)
-    fields = {
-        "value": u.value,
-        "grad": lambda X: _norms(dunkl_gradient(rs, u, X)),
-        "lap": lambda X: dunkl_laplacian_num(rs, u, X),
-    }
-
-    terms = (f.num, f.den)
-
-    def integrands(X):
-        delta = dd.delta(X)
-        return np.stack([
-            np.abs(fields[t.field](X)) ** t.power(p) * delta ** t.shift(p)
-            for t in terms
-        ])
-
-    num, den = (
-        float(v) for v in integrate_measure(rs, integrands, grid, rule).value
-    )
-    _check_den(den)
-    return num / den
-
-
-# ---------------------------------------------------------------------------
 # single-mode trial functions (radial profile times one h-harmonic)
 
 
@@ -539,7 +457,8 @@ def mode_quotient(mf: ModeFunction, kind: str) -> float:
     num, den = (
         integrals[t.field](mf.nbar - 1.0 + t.k * t.q) for t in (f.num, f.den)
     )
-    _check_den(den)
+    if abs(den) < 1e-14:
+        raise DegenerateInputError("quotient denominator is numerically zero")
     return num / den
 
 
@@ -553,6 +472,10 @@ class VerificationReport:
     tolerance: float
     entries: list  # dicts with name, lhs, rhs, margin, passed
     passed: bool
+
+
+def _norms(X):
+    return np.linalg.norm(np.atleast_2d(X), axis=1)
 
 
 def _domain_check(rs, functions, dd, p, grid, rule, a, b, extra,

@@ -22,32 +22,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gamma as gamma_fn
-from math import exp, lgamma, log, pi, sqrt
+from math import exp, isfinite, lgamma, log, pi, sqrt
 
 import numpy as np
 
-from .dunklnum import dunkl_gradient
-from .reflection import RootSystem, near_hyperplane, reflect, weight
+from .reflection import RootSystem, near_hyperplane, weight
 
 __all__ = [
     "SphericalRule",
     "RadialGrid",
     "WeightedIntegral",
     "DivergenceError",
-    "sphere_surface",
     "sphere_rule",
     "jitter_off_hyperplanes",
     "weighted_sphere",
     "polar_values",
-    "reflected_stack",
     "sphere_weight_integral",
     "radial_nodes",
     "legendre_integral",
     "integrate_radial",
     "integrate_measure",
-    "integration_by_parts_residual",
-    "reflected_measure_invariance",
 ]
 
 MAX_SPHERE_DIM = 8
@@ -77,6 +71,8 @@ class RadialGrid:
         b = self.breakpoints
         if len(b) < 2 or any(x >= y for x, y in zip(b, b[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        if b[0] < 0 or not all(isfinite(x) for x in b):
+            raise ValueError("breakpoints must be finite and non-negative")
         if self.nodes_per_interval < 8:
             raise ValueError("need at least 8 nodes per interval")
 
@@ -88,10 +84,6 @@ class WeightedIntegral:
 
     value: float | np.ndarray
     estimated_error: float | np.ndarray
-
-
-def sphere_surface(N: int) -> float:
-    return 2.0 * pi ** (N / 2.0) / gamma_fn(N / 2.0)
 
 
 def _legendre_panel(n: int, a: float, b: float):
@@ -271,14 +263,6 @@ def polar_values(f, r, nodes, support=None) -> np.ndarray:
     return out
 
 
-def reflected_stack(rs: RootSystem, f):
-    """The field stack [f, f o sigma_alpha for each positive root alpha]."""
-    def fields(X):
-        return np.stack([f(X)] + [f(reflect(root, X)) for root in rs.positive_roots])
-
-    return fields
-
-
 def sphere_weight_integral(rs: RootSystem, rule: SphericalRule) -> float:
     """S_k = integral of omega_k over the unit sphere."""
     return float(np.sum(weighted_sphere(rs, rule)[1]))
@@ -377,35 +361,6 @@ def integrate_measure(
         return np.array([wrad @ field @ wsph for field in vals])
 
     v = total(grid.nodes_per_interval)
-    v2 = total(max(grid.nodes_per_interval // 2, 8))
+    v2 = total(grid.nodes_per_interval // 2)
     return WeightedIntegral(v, abs(v - v2))
 
-
-def integration_by_parts_residual(
-    rs: RootSystem, u, v, i: int, grid: RadialGrid, rule: SphericalRule
-) -> float:
-    """|int T_i(u) v dmu + int u T_i(v) dmu| / (|int T_i(u) v dmu| + 1)."""
-    def pairings(X):
-        return np.stack([
-            dunkl_gradient(rs, u, X)[:, i] * v.value(X),
-            u.value(X) * dunkl_gradient(rs, v, X)[:, i],
-        ])
-
-    a, b = (float(x) for x in integrate_measure(rs, pairings, grid, rule).value)
-    return abs(a + b) / (abs(a) + 1.0)
-
-
-def reflected_measure_invariance(
-    rs: RootSystem, f, grid: RadialGrid, rule: SphericalRule
-) -> float:
-    """Max over positive roots of the relative defect
-    |int f(sigma_alpha x) dmu - int f dmu|."""
-    base, *reflected = (
-        float(x)
-        for x in integrate_measure(rs, reflected_stack(rs, f), grid, rule).value
-    )
-    scale = abs(base) + 1.0
-    worst = 0.0
-    for refl in reflected:
-        worst = max(worst, abs(refl - base) / scale)
-    return worst

@@ -30,7 +30,6 @@ __all__ = [
     "embed_root_system",
     "reflect",
     "reflection_matrix",
-    "reflection_jacobian",
     "generate_group",
     "weight",
     "near_hyperplane",
@@ -335,12 +334,6 @@ def reflection_matrix(root: Root, exact: bool):
             for i in range(n)
         )
     return np.eye(n) - root._fc2 * np.outer(root._v, root._v)
-
-
-def reflection_jacobian(root: Root) -> float:
-    """det(I - alpha alpha^T); equals -1 for every root with |alpha|^2 = 2."""
-    a = root.vector
-    return float(np.linalg.det(np.eye(root.dim) - np.outer(a, a)))
 
 
 def generate_group(rs: RootSystem) -> tuple:

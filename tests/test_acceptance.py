@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dunkl_lab.corpus import domain_bump_corpus, mode_corpus
-from dunkl_lab.domains import DomainSpec, distance_data, equivariance_check
+from dunkl_lab.domains import DomainSpec, distance_data
 from dunkl_lab.harmonics import (
     hharmonic_dim,
     kernel_basis,
@@ -42,8 +42,9 @@ from dunkl_lab.reflection import (
     build_root_system,
     embed_root_system,
     generate_group,
-    reflection_jacobian,
+    reflection_matrix,
 )
+from oracles import equivariance_check
 
 
 @lru_cache(maxsize=None)
@@ -267,7 +268,9 @@ def test_criterion_9_geometry():
         rs = build_root_system(family, rank, 1)
         assert len(generate_group(rs)) == order
         for root in rs.positive_roots:
-            assert reflection_jacobian(root) == pytest.approx(-1.0, abs=1e-12)
+            assert np.linalg.det(
+                reflection_matrix(root, exact=False)
+            ) == pytest.approx(-1.0, abs=1e-12)
     rs = build_root_system("A", 2, 1)
     rng = np.random.default_rng(5)
     X = rng.normal(size=(50, 3)) + np.array([0.2, 1.1, 2.3])

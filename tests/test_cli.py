@@ -133,6 +133,35 @@ def test_unknown_config_key_rejected(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("family", 1), ("out", 7), ("rank", 2.5), ("rank", True), ("nmax", 2.5),
+    ("quad_order", 8.9), ("tol", "0.01"), ("tol", True), ("p", [7]),
+])
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys,
+                                                        key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "o"
+    assert _run(["verify", "hardy", "--config", str(cfg), "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("file_cfg, flags", [
+    ({"k": 0.5, "p": 7, "eps": 0.001}, ["--k", "0.5", "--p", "7", "--eps", "0.001"]),
+    ({"tol": 1}, ["--tol", "1"]),
+])
+def test_numeric_config_values_read_as_their_flags(tmp_path, file_cfg, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+    assert _run(["verify", "hardy", "--config", str(cfg),
+                 "--out", str(from_file)]) == 0
+    assert _run(["verify", "hardy", *flags, "--out", str(from_flags)]) == 0
+    for name in ("summary.json", "hardy_hardy_p.csv", "hardy_hardy_2.csv"):
+        assert (from_file / name).read_bytes() == (from_flags / name).read_bytes()
+
+
 def test_dihedral_order_is_the_rank(tmp_path):
     # I2(6) has six positive roots: Nbar = 2 + 2*6 = 14, hardy_2 target 36
     out = tmp_path / "o"

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from dunkl_lab.domains import (
-    DomainSpec,
-    distance_data,
-    equivariance_check,
-)
+from dunkl_lab.domains import DomainSpec, distance_data
 from dunkl_lab.reflection import build_root_system, embed_root_system
+from oracles import equivariance_check
 
 
 def test_spec_validation():

@@ -7,14 +7,12 @@ import pytest
 from dunkl_lab.corpus import ball_bump, random_damped_polynomial
 from dunkl_lab.harmonics import (
     build_basis,
-    cross_term_bound_check,
     eigenvalue,
     expand,
     fraction_kernel,
     hharmonic_dim,
     homogeneous_exponents,
     kernel_basis,
-    mean_projection_invariance,
     parseval_residual,
     sphere_eigencheck,
 )
@@ -22,10 +20,12 @@ from dunkl_lab.polyalg import dunkl_laplacian_fast
 from dunkl_lab.quad import (
     RadialGrid,
     jitter_off_hyperplanes,
+    polar_values,
+    radial_nodes,
     sphere_rule,
     weighted_sphere,
 )
-from dunkl_lab.reflection import build_root_system
+from dunkl_lab.reflection import build_root_system, reflect
 
 
 def test_hharmonic_dim_formula():
@@ -133,20 +133,48 @@ def test_parseval_on_damped_polynomials(rs_a2, rng):
         assert parseval_residual(rs_a2, u, coeffs, grid, rule) < 1e-5
 
 
+def _reflected_values(rs, u, r, nodes):
+    """u and u o sigma_alpha per positive root alpha at the points r_i xi_j,
+    stacked as (1 + #roots, len(r), len(nodes))."""
+    def fields(X):
+        return np.stack([u(X)] + [u(reflect(root, X)) for root in rs.positive_roots])
+
+    return polar_values(fields, r, nodes)
+
+
 def test_mean_projection_invariance(rs_z23):
+    # at every radius, the sphere mean of u o sigma_alpha against
+    # omega_k dnu / S_k is that of u
     rule = jitter_off_hyperplanes(sphere_rule(3, 24), rs_z23)
     grid = RadialGrid((0.0, 1.0, 2.0), nodes_per_interval=32)
     u = ball_bump([0.3, 0.1, -0.2], 0.8)
+    nodes, wsph = weighted_sphere(rs_z23, rule)
+    r, _ = radial_nodes(grid)
+    base, *reflected = _reflected_values(rs_z23, u, r, nodes) @ wsph / np.sum(wsph)
     # the bump has a support edge, so the sphere rule is only approximate
-    assert mean_projection_invariance(rs_z23, u, grid, rule) < 1e-6
+    for refl in reflected:
+        assert np.max(np.abs(refl - base)) < 1e-6
 
 
 def test_cross_term_bound(rs_a2):
+    # per positive root alpha,
+    # int (u - u o sigma_alpha) u / |x|^4 dmu <= 2 int (u - mean u)^2 / |x|^4 dmu;
+    # u vanishes near the origin, so both sides converge
     rule = jitter_off_hyperplanes(sphere_rule(3, 12), rs_a2)
     grid = RadialGrid((0.5, 1.0, 1.8, 2.6), nodes_per_interval=32)
-    u = ball_bump([0.0, 0.9, 1.8], 0.5)
-    report = cross_term_bound_check(rs_a2, u, grid, rule)
-    assert all(lhs <= rhs + report.tolerance for _, lhs, rhs in report.entries)
+    b = ball_bump([0.0, 0.9, 1.8], 0.5)
+    sigma = rs_a2.positive_roots[0]
+    nodes, wsph = weighted_sphere(rs_a2, rule)
+    r, wr = radial_nodes(grid)
+    wrad = wr * r ** (rs_a2.dimension + 2.0 * float(rs_a2.gamma) - 5.0)
+    # the bump alone uses half of the bound at each root; b - (b o sigma)/2,
+    # whose two bumps do not overlap, uses 96% of it at sigma
+    for u in (b, lambda X: b(X) - 0.5 * b(reflect(sigma, X))):
+        U, *reflected = _reflected_values(rs_a2, u, r, nodes)
+        mean = U @ wsph / np.sum(wsph)
+        rhs = 2.0 * float(wrad @ ((U - mean[:, None]) ** 2 @ wsph))
+        for Us in reflected:
+            assert float(wrad @ (((U - Us) * U) @ wsph)) <= rhs + 1e-8
 
 
 def _fraction_gauss_jordan_kernel(rows, ncols):

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 from dunkl_lab.corpus import ball_bump, shifted_gaussian
+from dunkl_lab.dunklnum import dunkl_gradient
 from dunkl_lab.quad import (
     DivergenceError,
     RadialGrid,
@@ -14,14 +15,19 @@ from dunkl_lab.quad import (
     _support_mask,
     integrate_measure,
     integrate_radial,
-    integration_by_parts_residual,
     jitter_off_hyperplanes,
-    reflected_measure_invariance,
+    polar_values,
+    radial_nodes,
     sphere_rule,
-    sphere_surface,
     sphere_weight_integral,
+    weighted_sphere,
 )
-from dunkl_lab.reflection import HYPERPLANE_RTOL, build_root_system, near_hyperplane
+from dunkl_lab.reflection import (
+    HYPERPLANE_RTOL,
+    build_root_system,
+    near_hyperplane,
+    reflect,
+)
 
 
 def _sphere_monomial(exponents):
@@ -34,15 +40,10 @@ def _sphere_monomial(exponents):
     return num / gamma_fn(sum(e + 1 for e in exponents) / 2.0)
 
 
-def test_sphere_surface():
-    assert sphere_surface(2) == pytest.approx(2 * pi, rel=1e-14)
-    assert sphere_surface(3) == pytest.approx(4 * pi, rel=1e-14)
-
-
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_sphere_rule_exact_monomials(N, rng):
     rule = sphere_rule(N, 8)
-    assert np.sum(rule.weights) == pytest.approx(sphere_surface(N), rel=1e-13)
+    assert np.sum(rule.weights) == pytest.approx(_sphere_monomial((0,) * N), rel=1e-13)
     for _ in range(12):
         e = tuple(int(t) for t in rng.integers(0, 4, size=N))
         if sum(e) > 8:
@@ -184,6 +185,21 @@ def test_measure_integral_factorizes(rs_a2, rule_a2):
     assert got == pytest.approx(2.0 ** (nbar + 2.0) / (nbar + 2.0) * sk, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [8, 9, 15, 16])
+def test_measure_error_estimate_halves_the_nodes(rs_a2, rule_a2, n):
+    # the estimate is the gap to the same rule at n // 2 nodes per interval,
+    # so at the smallest grid it is not the rule compared with itself
+    grid = RadialGrid((0.0, 1.0, 2.5), nodes_per_interval=n)
+    u = ball_bump([0.4, 0.2, -0.3], 0.9)
+    nodes, wsph = weighted_sphere(rs_a2, rule_a2)
+    r, wr = radial_nodes(grid, n // 2)
+    exponent = rs_a2.dimension + 2.0 * float(rs_a2.gamma) - 1.0
+    half = float(wr * r**exponent @ polar_values(u.value, r, nodes) @ wsph)
+    res = integrate_measure(rs_a2, u.value, grid, rule_a2)
+    assert res.estimated_error == abs(res.value - half)
+    assert res.estimated_error > 1e-6 * abs(res.value)
+
+
 def test_measure_rejects_non_finite_integrand(rs_a2, rule_a2):
     grid = RadialGrid((0.0, 1.0), nodes_per_interval=8)
     with pytest.raises(ValueError, match="not finite"):
@@ -260,17 +276,32 @@ def test_integration_by_parts_antisymmetry(rs_a2, rule_a2):
     grid = RadialGrid((0.0, 1.5, 3.0, 6.0, 9.0), nodes_per_interval=48)
     u = shifted_gaussian([0.2, 0.5, -0.3], 1.1)
     v = shifted_gaussian([-0.4, 0.1, 0.6], 1.3)
-    for i in range(3):
-        assert integration_by_parts_residual(rs_a2, u, v, i, grid, rule_a2) < 1e-8
+
+    def pairings(X):
+        # rows i: T_i(u) v; rows 3 + i: u T_i(v)
+        return np.concatenate([
+            dunkl_gradient(rs_a2, u, X).T * v.value(X),
+            u.value(X) * dunkl_gradient(rs_a2, v, X).T,
+        ])
+
+    value = integrate_measure(rs_a2, pairings, grid, rule_a2).value
+    tu_v, u_tv = value[:3], value[3:]
+    assert np.all(np.abs(tu_v + u_tv) < 1e-8 * (np.abs(tu_v) + 1.0))
 
 
 def test_reflected_measure_invariance(rs_z23):
+    # int f(sigma_alpha x) dmu = int f dmu for every positive root alpha
     rule = jitter_off_hyperplanes(sphere_rule(3, 10), rs_z23)
     grid = RadialGrid((0.0, 1.0, 2.5), nodes_per_interval=32)
     u = ball_bump([0.4, 0.2, -0.3], 0.9)
-    assert reflected_measure_invariance(
-        rs_z23, lambda X: u.value(X) ** 2, grid, rule
-    ) < 1e-8
+
+    def fields(X):
+        points = [X] + [reflect(root, X) for root in rs_z23.positive_roots]
+        return np.stack([u.value(Y) ** 2 for Y in points])
+
+    base, *reflected = integrate_measure(rs_z23, fields, grid, rule).value
+    for refl in reflected:
+        assert abs(refl - base) < 1e-8 * (abs(base) + 1.0)
 
 
 def test_divergent_tail_raises():
@@ -286,6 +317,10 @@ def test_grid_validation():
         RadialGrid((1.0, 0.5))
     with pytest.raises(ValueError):
         RadialGrid((0.0, 1.0), nodes_per_interval=2)
+    # a negative start counts the ball twice; a non-finite end gives NaN
+    for breakpoints in ((-4.0, 4.0), (0.0, np.inf), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            RadialGrid(breakpoints)
 
 
 @pytest.mark.parametrize(
