@@ -20,6 +20,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 
 from .harmonics import eigenvalue, hharmonic_dim, kernel_basis, sphere_eigencheck
@@ -329,8 +330,10 @@ def _merge_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if cfg["tol"] is not None and float(cfg["tol"]) <= 0:
-        raise UsageError("--tol must be positive")
+    # inf and nan parse as floats (a bad number raises ValueError: exit 2);
+    # each is a usage error, not a verdict
+    if cfg["tol"] is not None and not _positive(float(cfg["tol"])):
+        raise UsageError("--tol must be finite and positive")
     if int(cfg["quad_order"]) < 8:
         raise UsageError("--quad-order must be at least 8")
     if int(cfg["nmax"]) < 1:
@@ -338,7 +341,15 @@ def _merge_config(args) -> dict:
     eps = [float(e) for e in str(cfg["eps"]).split(",") if e.strip()]
     if not eps or any(a <= b for a, b in zip(eps, eps[1:])):
         raise UsageError("--eps must be a strictly decreasing list")
+    if not all(_positive(e) for e in eps):
+        raise UsageError("--eps values must be finite and positive")
+    if cfg["p"] != "auto" and not isfinite(float(cfg["p"])):
+        raise UsageError("--p must be auto or a finite number")
     return cfg
+
+
+def _positive(x: float) -> bool:
+    return isfinite(x) and x > 0
 
 
 def main(argv=None) -> int:

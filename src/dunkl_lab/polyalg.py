@@ -11,14 +11,20 @@ Reflections act on exponents and signs when sigma_alpha is a signed
 permutation (every built-in exact family: A, B, Z2, I2(1), I2(2), I2(4)),
 and a hand-built rational root whose reflection is not one, such as
 direction (1, 2), acts by exact linear substitution
-(``Polynomial.compose_linear``).  Divided differences are exact synthetic
-divisions by a linear form.  A floating-point value anywhere in here is a
-bug.
+(``Polynomial.compose_linear``).  The divided difference
+(p - p o sigma_alpha)/<v, x> of a signed-permutation root is built term by
+term in closed form: its integer direction is e_i, e_i - e_j or e_i + e_j,
+and x^e maps to 2 x^(e - e_i) (e_i odd), to a geometric sum in x_i, x_j,
+or to that sum with the signs of x_j -> -x_j (see ``divided_difference``).
+Any other rational root reflects, subtracts and divides synthetically by
+the linear form.  A floating-point value anywhere in here is a bug.
 
 The difference term of a Dunkl operator,
 k_alpha * alpha_i * (p - p o sigma_alpha)/<alpha, x>, is computed with the
 root's rational direction v (alpha = c v):  alpha_i/<alpha, x> = v_i/<v, x>,
 so the sqrt(2) scale cancels and every operator output stays rational.
+T_i p and the Dunkl Laplacian each read their derivatives off p's terms and
+sum every contribution in one integer dict over a common denominator.
 """
 
 from __future__ import annotations
@@ -383,21 +389,93 @@ def reflect_poly(p: Polynomial, root: Root) -> Polynomial:
 def divided_difference(p: Polynomial, root: Root) -> Polynomial:
     """Exact q with <v, x> q = p - p o sigma_alpha, v the rational direction.
 
+    With v = w / s (``Root.integer_direction``), q = s (p - p o sigma)/<w, x>.
+    When sigma_alpha is a signed permutation (every built-in exact root),
+    w is e_i, e_i - e_j or e_i + e_j (i < j) and q is built term by term in
+    closed form, with no reflection, subtraction or division:
+    - w = e_i: x^e gives 2 x^(e - e_i) if e_i is odd, 0 otherwise;
+    - w = e_i - e_j, with a = e_i, b = e_j, m = min(a, b), d = |a - b|:
+      x^e gives sgn(a - b) sum_(t<d) x_i^(m+t) x_j^(m+d-1-t), the other
+      exponents unchanged, and 0 if a = b;
+    - w = e_i + e_j: with y = -x_j, x^e = (-1)^b x_i^a y^b and <w, x> =
+      x_i - y, so x^e gives (-1)^b times the e_i - e_j formula in (x_i, y),
+      each y^u read back as (-1)^u x_j^u.
+    Any other root (e.g. direction (1, 2)) reflects p, subtracts and
+    divides synthetically (``_divide_by_linear``).
+
     The quotient against <alpha, x> itself is q / c with c = sqrt(2/|v|^2);
     the scale cancels inside Dunkl operators and is left to the caller.
     """
-    diff = p - reflect_poly(p, root)
-    if diff.is_zero():
-        return Polynomial(p.nvars)
-    return _divide_by_linear(diff, root)
+    if root.signed_permutation is None:
+        diff = p - reflect_poly(p, root)
+        if diff.is_zero():
+            return Polynomial(p.nvars)
+        return _divide_by_linear(diff, root)
+    w, s = root.integer_direction
+    axes = [i for i, c in enumerate(w) if c]
+    t: dict = {}
+    if len(axes) == 1:
+        (i,) = axes
+        for e, c in p._num.items():
+            if e[i] & 1:
+                t[e[:i] + (e[i] - 1,) + e[i + 1 :]] = 2 * c
+    else:
+        i, j = axes
+        plus = w[j] > 0
+        for e, c in p._num.items():
+            a, b = e[i], e[j]
+            if a == b:
+                continue
+            if a < b:
+                m, d, c = a, b - a, -c
+            else:
+                m, d = b, a - b
+            if plus and b & 1:
+                c = -c
+            head, mid, tail = e[:i], e[i + 1 : j], e[j + 1 :]
+            top = 2 * m + d - 1  # the degree in (x_i, x_j) of every term
+            for u in range(m, m + d):  # u = m + d - 1 - t, the power of x_j
+                f = head + (top - u,) + mid + (u,) + tail
+                t[f] = t.get(f, 0) + (-c if plus and u & 1 else c)
+        t = {f: c for f, c in t.items() if c}
+    if s.numerator != 1:
+        t = {f: c * s.numerator for f, c in t.items()}
+    return _canonical(p.nvars, t, p._den * s.denominator)
+
+
+def _add_scaled(parts) -> tuple:
+    """(numerators, denominator) of the sum of c * num/den over (num, den, c)
+    parts, num an integer numerator dict and c rational: one dict over the
+    lcm of the scaled denominators, zero numerators dropped."""
+    den = lcm(*(d * c.denominator for _, d, c in parts))
+    acc: dict = {}
+    for num, d, c in parts:
+        scale = c.numerator * (den // (d * c.denominator))
+        for e, x in num.items():
+            acc[e] = acc.get(e, 0) + scale * x
+    return {e: x for e, x in acc.items() if x}, den
+
+
+def _grad_dot(num: dict, axes) -> dict:
+    """Numerators of sum_i w_i d_i p over the (i, w_i) of axes, read off the
+    numerators of p (over p's denominator)."""
+    out: dict = {}
+    for e, c in num.items():
+        for i, wi in axes:
+            m = e[i]
+            if m:
+                f = e[:i] + (m - 1,) + e[i + 1 :]
+                out[f] = out.get(f, 0) + c * m * wi
+    return out
 
 
 def _dunkl_terms(rs: RootSystem, p: Polynomial, coords) -> list:
     """[T_i p for i in coords], with one divided difference per active root
     that touches coords:
-    T_i p = d_i p + sum_alpha k_alpha alpha_i (p - p o sigma_alpha)/<alpha,x>."""
+    T_i p = d_i p + sum_alpha k_alpha alpha_i (p - p o sigma_alpha)/<alpha,x>,
+    each T_i p summed in one integer dict."""
     _require_exact(rs)
-    out = [p.partial(i) for i in coords]
+    parts = [[(_grad_dot(p._num, ((i, 1),)), p._den, 1)] for i in coords]
     for root, k in rs.active_roots():
         w = root.integer_direction[0]
         touched = [(slot, root.direction[i])
@@ -406,8 +484,8 @@ def _dunkl_terms(rs: RootSystem, p: Polynomial, coords) -> list:
             continue
         q = divided_difference(p, root)
         for slot, vi in touched:
-            out[slot] = out[slot] + q * (k * vi)
-    return out
+            parts[slot].append((q._num, q._den, k * vi))
+    return [_canonical(p.nvars, *_add_scaled(slot)) for slot in parts]
 
 
 def dunkl_apply(rs: RootSystem, i: int, p: Polynomial) -> Polynomial:
@@ -421,25 +499,30 @@ def dunkl_gradient_sym(rs: RootSystem, p: Polynomial) -> list:
 
 
 def dunkl_laplacian_fast(rs: RootSystem, p: Polynomial) -> Polynomial:
-    """Dunkl Laplacian via the gradient/difference formula (single route)."""
+    """Dunkl Laplacian via the gradient/difference formula (single route),
+    summed in one integer dict."""
     _require_exact(rs)
     n = rs.dimension
-    out = Polynomial(n)
-    grad = [p.partial(i) for i in range(n)]
-    for i in range(n):
-        out = out + grad[i].partial(i)
+    lap: dict = {}
+    for e, c in p._num.items():
+        for i, m in enumerate(e):
+            if m > 1:
+                f = e[:i] + (m - 2,) + e[i + 1 :]
+                lap[f] = lap.get(f, 0) + c * m * (m - 1)
+    parts = [(lap, p._den, 1)]
     for root, k in rs.active_roots():
-        v, w = root.direction, root.integer_direction[0]
-        grad_dot_v = Polynomial(n)
-        for i in range(n):
-            if w[i]:
-                grad_dot_v = grad_dot_v + grad[i] * v[i]
+        w, s = root.integer_direction
         q = divided_difference(p, root)
         # 2 <grad p, alpha>/<alpha,x> - 2 (p - p o sigma)/<alpha,x>^2
-        #   = [2 <grad p, v> - |v|^2 q] / <v, x>
-        num = grad_dot_v * 2 - q * root.norm2_direction
-        out = out + _divide_by_linear(num, root) * k
-    return out
+        #   = [2 <grad p, v> - |v|^2 q] / <v, x>, with v = w / s
+        grad_dot_w = _grad_dot(p._num, [(i, wi) for i, wi in enumerate(w) if wi])
+        num, den = _add_scaled([(grad_dot_w, p._den, 2 / s),
+                                (q._num, q._den, -root.norm2_direction)])
+        # _divide_by_linear reads num and den only and returns a canonical
+        # quotient, so num/den need no gcd here
+        quotient = _divide_by_linear(_wrap(n, num, den), root)
+        parts.append((quotient._num, quotient._den, k))
+    return _canonical(n, *_add_scaled(parts))
 
 
 def sphere_mean(rs: RootSystem):

@@ -126,6 +126,31 @@ def test_usage_errors_exit_2(tmp_path):
     assert _run(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("flags, file_cfg", [
+    (["--eps", "0.3", "--tol", "inf"], None),
+    (["--eps", "0.3", "--tol", "nan"], None),
+    (["--eps", "0.3,0.1,nan"], None),
+    (["--eps", "inf,0.3,0.1"], None),
+    (["--eps", "0.3", "--p", "inf"], None),
+    (["--eps", "0.3", "--p", "1e400"], None),
+    # json reads Infinity, NaN and 1e400 as non-finite floats
+    ([], '{"eps": 0.3, "tol": Infinity}'),
+    ([], '{"eps": NaN}'),
+    ([], '{"eps": 0.3, "p": 1e400}'),
+], ids=["tol=inf", "tol=nan", "eps=nan", "eps=inf", "p=inf", "p=1e400",
+        "config-tol=inf", "config-eps=nan", "config-p=1e400"])
+def test_non_finite_number_is_a_usage_error(tmp_path, capsys, flags, file_cfg):
+    if file_cfg is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(file_cfg)
+        flags = ["--config", str(cfg)]
+    out = tmp_path / "o"
+    assert _run(["verify", "hardy", "--family", "A", "--rank", "2", *flags,
+                 "--out", str(out)]) == 2
+    assert "dunkl-lab: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"frobnicate": 1}))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dunkl_lab import polyalg
 from dunkl_lab.polyalg import (
     ExactDivisionError,
@@ -258,6 +259,73 @@ def _rank_one(root, k):
     return RootSystem(family="custom", rank=1, dimension=root.dim,
                       positive_roots=(root,), multiplicities=(k,),
                       orbit_labels=(0,))
+
+
+# -- the closed-form kernels against reflect-subtract-divide oracles -----------
+
+ORACLE_FAMILIES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("Z2", 5),
+                   ("I2", 1), ("I2", 2), ("I2", 4)]
+# a scaled axis root (s = 1/2), scaled swap roots (s = 2, s = -1/3) and the
+# fallback root (1, 2), which is no signed permutation
+SCALED_ROOTS = [Root((Fraction(2), Fraction(0), Fraction(0))),
+                Root((Fraction(1, 2), Fraction(-1, 2))),
+                Root((Fraction(-3), Fraction(-3)))]
+# (name, roots of one dimension): each family's positive roots and their
+# negations, then the scaled and fallback roots
+DIVIDED_DIFFERENCE_ROOTS = [
+    (f"{family}({rank})",
+     [r for root in build_root_system(family, rank, 1).positive_roots
+      for r in (root, root.negate())])
+    for family, rank in ORACLE_FAMILIES
+] + [("scaled-axis", SCALED_ROOTS[:1]),
+     ("scaled-swap-and-fallback", SCALED_ROOTS[1:] + CUSTOM_ROOTS[:1])]
+
+
+def _rational_polys(N):
+    """Rational polynomials in N variables of degree <= 7."""
+    monomial = st.lists(st.integers(0, N - 1), max_size=7).map(
+        lambda axes: tuple(axes.count(i) for i in range(N)))
+    return st.dictionaries(monomial, _coefficient, max_size=8).map(
+        lambda terms: Polynomial(N, terms))
+
+
+@pytest.mark.parametrize("roots", [roots for _, roots in DIVIDED_DIFFERENCE_ROOTS],
+                         ids=[name for name, _ in DIVIDED_DIFFERENCE_ROOTS])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_divided_difference_matches_reflect_subtract_divide(roots, data):
+    p = data.draw(_rational_polys(roots[0].dim))
+    for root in roots:
+        assert (root.signed_permutation is None) == (root == CUSTOM_ROOTS[0])
+        q = divided_difference(p, root)
+        _assert_canonical(q)
+        assert q == oracles.divided_difference(p, root)
+
+
+KERNEL_SYSTEMS = [
+    (f"{family}({rank})/k={k}", build_root_system(family, rank, k))
+    for family, rank in ORACLE_FAMILIES
+    for k in (Fraction(2, 3), 0)
+] + [
+    (f"{root!r}/k=5/4", _rank_one(root, Fraction(5, 4)))
+    for root in SCALED_ROOTS + [CUSTOM_ROOTS[0]]
+]
+
+
+@pytest.mark.parametrize("rs", [rs for _, rs in KERNEL_SYSTEMS],
+                         ids=[name for name, _ in KERNEL_SYSTEMS])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_dunkl_kernels_match_polynomial_oracles(rs, data):
+    N = rs.dimension
+    p = data.draw(_rational_polys(N))
+    i = data.draw(st.integers(0, N - 1))
+    grad = dunkl_gradient_sym(rs, p)
+    assert grad == oracles.dunkl_terms(rs, p, range(N))
+    assert dunkl_apply(rs, i, p) == grad[i]
+    lap = dunkl_laplacian_fast(rs, p)
+    _assert_canonical(lap)
+    assert lap == oracles.dunkl_laplacian(rs, p)
 
 
 @pytest.mark.parametrize("root", PIVOT_ROOTS, ids=repr)
