@@ -23,8 +23,15 @@ from fractions import Fraction
 from math import isfinite
 from pathlib import Path
 
-from .harmonics import eigenvalue, hharmonic_dim, kernel_basis, sphere_eigencheck
+from .harmonics import (
+    eigenvalue,
+    hharmonic_dim,
+    homogeneous_exponents,
+    kernel_basis,
+    sphere_eigencheck,
+)
 from .inequalities import (
+    DEFAULT_EPSILONS,
     alternate_exponent_limit,
     mode_coefficients,
     sharpness_sweep,
@@ -34,32 +41,21 @@ from .reflection import build_root_system
 
 SUITES = ("identities", "harmonics", "hardy", "hardy-rellich", "all")
 
-_DEFAULTS = {
-    "family": "A",
-    "rank": 2,
-    "k": "1",
-    "p": "auto",
-    "eps": "0.3,0.1,0.03,0.01,0.003,0.001",
-    "tol": None,
-    "quad_order": 48,
-    "nmax": 4,
-    "out": "dunkl-lab-out",
-}
-
-
-# the JSON values a config file may give each key, as (types, description);
-# a bool is never one of them
+# each option as (default, flag type or choices, the JSON types a config
+# file may give it, their description); a bool is never one of those types,
+# and a number in a config file reads as its flag would
 _NUMBER = (int, float)
-_CONFIG_TYPES = {
-    "family": ((str,), "a string"),
-    "rank": ((int,), "an integer"),
-    "k": ((str,) + _NUMBER, "a string or a number"),
-    "p": ((str,) + _NUMBER, "a string or a number"),
-    "eps": ((str,) + _NUMBER, "a string or a number"),
-    "tol": (_NUMBER + (type(None),), "a number or null"),
-    "quad_order": ((int,), "an integer"),
-    "nmax": ((int,), "an integer"),
-    "out": ((str,), "a string"),
+_TEXT = ((str,) + _NUMBER, "a string or a number")
+_OPTIONS = {
+    "family": ("A", ("A", "B", "Z2", "I2"), (str,), "a string"),
+    "rank": (2, int, (int,), "an integer"),
+    "k": ("1", str, *_TEXT),
+    "p": ("auto", str, *_TEXT),
+    "eps": (",".join(map(str, DEFAULT_EPSILONS)), str, *_TEXT),
+    "tol": (None, float, _NUMBER + (type(None),), "a number or null"),
+    "quad_order": (48, int, (int,), "an integer"),
+    "nmax": (4, int, (int,), "an integer"),
+    "out": ("dunkl-lab-out", str, (str,), "a string"),
 }
 
 
@@ -78,30 +74,23 @@ def _sig15(x):
     return x
 
 
-def _parse_multiplicities(text: str):
-    try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad multiplicity list {text!r}: {exc}") from exc
+def _detail(check, passed, tolerance=0.0, **fields):
+    """One summary.json entry: check, tolerance, the fields, passed."""
+    return {"check": check, "tolerance": tolerance, **fields, "passed": passed}
 
 
 def _build_system(cfg):
-    family = cfg["family"].upper()
-    if family not in ("A", "B", "Z2", "I2"):
-        raise UsageError(f"unknown family {cfg['family']!r}")
-    ks = _parse_multiplicities(str(cfg["k"]))
-    if len(ks) == 1:
-        ks = ks[0]  # scalar broadcasts to every root orbit
     try:
-        return build_root_system(family, int(cfg["rank"]), ks)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        ks = [Fraction(part.strip()) for part in cfg["k"].split(",") if part.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad multiplicity list {cfg['k']!r}: {exc}") from exc
+    # a scalar broadcasts to every root orbit; an unknown family or a bad
+    # rank raises ValueError (exit 2)
+    return build_root_system(cfg["family"], cfg["rank"], ks[0] if len(ks) == 1 else ks)
 
 
 def _random_exact_polynomials(N: int, count: int, max_degree: int = 3):
     rng = random.Random(12345)
-    from .harmonics import homogeneous_exponents
-
     out = []
     for _ in range(count):
         terms = {}
@@ -123,7 +112,7 @@ def _random_exact_polynomials(N: int, count: int, max_degree: int = 3):
 def _suite_identities(rs, cfg):
     polys = _random_exact_polynomials(rs.dimension, 8)
     details = [
-        {"check": name, "tolerance": 0.0, "residual": residual, "passed": ok}
+        _detail(name, ok, residual=residual)
         for name, ok, residual in identity_checks(rs, polys)
     ]
     return details, {}
@@ -132,47 +121,20 @@ def _suite_identities(rs, cfg):
 def _suite_harmonics(rs, cfg):
     details = []
     nbar = rs.dimension + 2 * rs.gamma
-    for n in range(1, int(cfg["nmax"]) + 1):
+    for n in range(1, cfg["nmax"] + 1):
         basis = kernel_basis(rs, n)
         expected = hharmonic_dim(n, rs.dimension)
-        details.append(
-            {
-                "check": f"kernel_dimension/n={n}",
-                "tolerance": 0.0,
-                "value": len(basis),
-                "expected": expected,
-                "passed": len(basis) == expected,
-            }
-        )
+        details.append(_detail(f"kernel_dimension/n={n}", len(basis) == expected,
+                               value=len(basis), expected=expected))
         residual_zero = all(
             sphere_eigencheck(rs, p).is_zero() for p in basis[: min(3, len(basis))]
         )
-        details.append(
-            {
-                "check": f"sphere_eigenvalue/n={n}",
-                "tolerance": 0.0,
-                "value": float(eigenvalue(n, float(nbar))),
-                "passed": residual_zero,
-            }
-        )
+        details.append(_detail(f"sphere_eigenvalue/n={n}", residual_zero,
+                               value=float(eigenvalue(n, float(nbar)))))
     return details, {}
 
 
-def _sweep_entry(sweep):
-    return {
-        "check": f"sharpness/{sweep.kind}",
-        "tolerance": sweep.tolerance,
-        "target": sweep.target,
-        "extrapolated": sweep.extrapolated_oracle,
-        "rel_gap": sweep.rel_gap,
-        "oracle_agreement": sweep.oracle_agreement,
-        "passed": sweep.converged,
-    }
-
-
 def _run_sweeps(rs, cfg, kinds, suite):
-    epsilons = [float(e) for e in cfg["eps"].split(",") if e.strip()]
-    p = None if cfg["p"] == "auto" else float(cfg["p"])  # None: Nbar + 1
     details, csvs = [], {}
     for kind in kinds:
         # sharpness_sweep raises ValueError (exit 2) outside the admissible range
@@ -180,12 +142,16 @@ def _run_sweeps(rs, cfg, kinds, suite):
             kind,
             rs.dimension,
             float(rs.gamma),
-            p=p,
-            epsilons=epsilons,
+            p=cfg["p"],
+            epsilons=cfg["eps"],
             tolerance=cfg["tol"],
-            nodes=int(cfg["quad_order"]),
+            nodes=cfg["quad_order"],
         )
-        details.append(_sweep_entry(sweep))
+        details.append(_detail(
+            f"sharpness/{kind}", sweep.converged, sweep.tolerance,
+            target=sweep.target, extrapolated=sweep.extrapolated_oracle,
+            rel_gap=sweep.rel_gap, oracle_agreement=sweep.oracle_agreement,
+        ))
         csvs[f"{suite}_{kind}.csv"] = sweep.csv_rows()
     return details, csvs
 
@@ -205,34 +171,15 @@ def _suite_hardy_rellich(rs, cfg):
         co1 = mode_coefficients(N, gamma, 1, c)
         co2 = mode_coefficients(N, gamma, 2, c)
         d1 = ((N - 5 - 2 * Fraction(gamma)) * nbar**2 + 4) / 4
-        details.append(
-            {
-                "check": "mode_coefficients/d1",
-                "tolerance": 0.0,
-                "value": float(co1.d_n),
-                "expected": float(d1),
-                "passed": co1.d_n == d1 and co1.d_n >= 0,
-            }
-        )
-        details.append(
-            {
-                "check": "mode_coefficients/d2",
-                "tolerance": 0.0,
-                "value": float(co2.d_n),
-                "expected": float(2 * N * nbar**2 / 4),
-                "passed": co2.d_n == 2 * N * nbar**2 / 4,
-            }
-        )
+        d2 = 2 * N * nbar**2 / 4
+        details.append(_detail("mode_coefficients/d1", co1.d_n == d1 and co1.d_n >= 0,
+                               value=float(co1.d_n), expected=float(d1)))
+        details.append(_detail("mode_coefficients/d2", co2.d_n == d2,
+                               value=float(co2.d_n), expected=float(d2)))
     status, value = alternate_exponent_limit(rs.dimension, float(rs.gamma))
-    details.append(
-        {
-            "check": "raw_dimension_exponent_limit",
-            "tolerance": 0.0,
-            "status": status,
-            "value": value,
-            "passed": True,  # informational
-        }
-    )
+    # informational: always passes
+    details.append(_detail("raw_dimension_exponent_limit", True, status=status,
+                           value=value))
     return details, csvs
 
 
@@ -288,21 +235,17 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITES)
-    verify.add_argument("--family", choices=["A", "B", "Z2", "I2"])
-    verify.add_argument("--rank", type=int)
-    verify.add_argument("--k")
-    verify.add_argument("--p")
-    verify.add_argument("--eps")
-    verify.add_argument("--tol", type=float)
-    verify.add_argument("--quad-order", type=int, dest="quad_order")
-    verify.add_argument("--nmax", type=int)
+    for name, (_, kind, _, _) in _OPTIONS.items():
+        parse = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        verify.add_argument("--" + name.replace("_", "-"), dest=name, **parse)
     verify.add_argument("--config")
-    verify.add_argument("--out")
     return parser
 
 
 def _merge_config(args) -> dict:
-    cfg = dict(_DEFAULTS)
+    """The resolved options, each parsed once: family upper-cased, eps a
+    tuple of floats, p a float or None for auto, tol a float or None."""
+    cfg = {name: spec[0] for name, spec in _OPTIONS.items()}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -313,38 +256,35 @@ def _merge_config(args) -> dict:
             raise UsageError("config file must hold a JSON object")
         for key, value in file_cfg.items():
             key = key.replace("-", "_")
-            if key not in cfg:
+            if key not in _OPTIONS:
                 raise UsageError(f"unknown config key {key!r}")
-            types, description = _CONFIG_TYPES[key]
+            _, kind, types, description = _OPTIONS[key]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise UsageError(
                     f"config key {key!r} takes {description}, not {value!r}"
                 )
-            # read a number as its flag's text (--k, --p, --eps) or float (--tol)
-            if key in ("k", "p", "eps"):
-                value = str(value)
-            elif key == "tol" and value is not None:
-                value = float(value)
-            cfg[key] = value
-    for key in cfg:
-        value = getattr(args, key, None)
+            cfg[key] = kind(value) if isinstance(value, _NUMBER) else value
+    for key in _OPTIONS:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     # inf and nan parse as floats (a bad number raises ValueError: exit 2);
     # each is a usage error, not a verdict
-    if cfg["tol"] is not None and not _positive(float(cfg["tol"])):
+    if cfg["tol"] is not None and not _positive(cfg["tol"]):
         raise UsageError("--tol must be finite and positive")
-    if int(cfg["quad_order"]) < 8:
+    if cfg["quad_order"] < 8:
         raise UsageError("--quad-order must be at least 8")
-    if int(cfg["nmax"]) < 1:
+    if cfg["nmax"] < 1:
         raise UsageError("--nmax must be at least 1")
-    eps = [float(e) for e in str(cfg["eps"]).split(",") if e.strip()]
+    eps = tuple(float(e) for e in cfg["eps"].split(",") if e.strip())
     if not eps or any(a <= b for a, b in zip(eps, eps[1:])):
         raise UsageError("--eps must be a strictly decreasing list")
     if not all(_positive(e) for e in eps):
         raise UsageError("--eps values must be finite and positive")
-    if cfg["p"] != "auto" and not isfinite(float(cfg["p"])):
+    p = None if cfg["p"] == "auto" else float(cfg["p"])  # None: Nbar + 1
+    if p is not None and not isfinite(p):
         raise UsageError("--p must be auto or a finite number")
+    cfg.update(family=cfg["family"].upper(), eps=eps, p=p)
     return cfg
 
 
@@ -363,6 +303,9 @@ def main(argv=None) -> int:
         return run_suite(args.suite, cfg)
     except ValueError as exc:  # UsageError is a ValueError
         print(f"dunkl-lab: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the config is read by now: the report cannot be written
+        print(f"dunkl-lab: error: cannot write the report: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"dunkl-lab: internal arithmetic fault: {exc}", file=sys.stderr)

@@ -288,10 +288,15 @@ def sharpness_sweep(
 
     Pure-power families default to 1% tolerance, mollified ones to 2%; the
     oracle and quadrature paths must agree to 1e-6 at every eps >= 1e-3.
-    Raises ValueError outside the functional's admissible range.
+    Raises ValueError for an unknown kind, outside the functional's
+    admissible range, for an empty, non-finite or not strictly decreasing
+    schedule, for one that goes below 1e-4, and for a tolerance that is not
+    finite and positive.
     """
     f = _functional(kind)
     epsilons = tuple(float(e) for e in epsilons)
+    if not epsilons or not np.all(np.isfinite(epsilons)):
+        raise ValueError("epsilon schedule must be non-empty and finite")
     if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilon schedule must be strictly decreasing")
     if epsilons[-1] < 1e-4:
@@ -305,6 +310,8 @@ def sharpness_sweep(
         raise ValueError(f"{kind} needs {f.rule} (nbar = {nbar:g}, p = {p})")
     if tolerance is None:
         tolerance = 0.02 if f.mollified else 0.01
+    elif not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be finite and positive")
     target = sharp_constant(kind, nbar, p)
 
     q_oracle, q_quad = [], []

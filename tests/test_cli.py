@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from dunkl_lab.reflection import build_root_system
 
 CSV_HEADER = ["epsilon", "quotient_oracle", "quotient_quadrature", "target",
               "rel_gap"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(args):
@@ -175,6 +177,8 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys,
 @pytest.mark.parametrize("file_cfg, flags", [
     ({"k": 0.5, "p": 7, "eps": 0.001}, ["--k", "0.5", "--p", "7", "--eps", "0.001"]),
     ({"tol": 1}, ["--tol", "1"]),
+    ({"family": "B", "rank": 2, "quad_order": 16},
+     ["--family", "B", "--rank", "2", "--quad-order", "16"]),
 ])
 def test_numeric_config_values_read_as_their_flags(tmp_path, file_cfg, flags):
     cfg = tmp_path / "cfg.json"
@@ -185,6 +189,31 @@ def test_numeric_config_values_read_as_their_flags(tmp_path, file_cfg, flags):
     assert _run(["verify", "hardy", *flags, "--out", str(from_flags)]) == 0
     for name in ("summary.json", "hardy_hardy_p.csv", "hardy_hardy_2.csv"):
         assert (from_file / name).read_bytes() == (from_flags / name).read_bytes()
+
+
+@pytest.mark.parametrize("golden, flags", [
+    ("identities_B3_k1_2-1.json",
+     ["identities", "--family", "B", "--rank", "3", "--k", "1/2,1"]),
+    ("harmonics_Z2_3_nmax4.json",
+     ["harmonics", "--family", "Z2", "--rank", "3", "--nmax", "4"]),
+])
+def test_summary_bytes_match_the_golden_files(tmp_path, golden, flags):
+    # key order and float format, not only values; both suites are exact, so
+    # no byte depends on the numpy version or the platform
+    out = tmp_path / "o"
+    assert _run(["verify", *flags, "--out", str(out)]) == 0
+    assert (out / "summary.json").read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "under-a-file"])
+def test_out_that_is_not_a_directory_is_a_usage_error(tmp_path, capsys, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "o" if below else blocker
+    assert _run(["verify", "harmonics", "--family", "Z2", "--rank", "2",
+                 "--nmax", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dunkl-lab: error:") and err.count("\n") == 1
 
 
 def test_dihedral_order_is_the_rank(tmp_path):

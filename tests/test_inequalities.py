@@ -99,6 +99,22 @@ def test_sweep_rejects_bad_epsilons():
         sharpness_sweep("bogus", 3, 0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(epsilons=()),
+    dict(epsilons=(float("nan"),)),
+    dict(epsilons=(0.1, float("nan"))),
+    dict(epsilons=(float("inf"), 0.1)),
+    dict(tolerance=float("inf")),
+    dict(tolerance=float("nan")),
+    dict(tolerance=0.0),
+    dict(tolerance=-1.0),
+], ids=["eps=()", "eps=(nan,)", "eps=(0.1,nan)", "eps=(inf,0.1)", "tol=inf",
+        "tol=nan", "tol=0", "tol=-1"])
+def test_sweep_rejects_an_empty_or_non_finite_schedule_or_a_bad_tolerance(kwargs):
+    with pytest.raises(ValueError):
+        sharpness_sweep("hardy_2", 3, 1.0, **kwargs)
+
+
 def test_alternate_exponent_status():
     status, value = alternate_exponent_limit(5, 1.0)
     assert status == "divergent" and value is None
