@@ -33,6 +33,7 @@ from .harmonics import (
 from .inequalities import (
     DEFAULT_EPSILONS,
     alternate_exponent_limit,
+    epsilon_schedule,
     mode_coefficients,
     sharpness_sweep,
 )
@@ -244,7 +245,8 @@ def _build_parser():
 
 def _merge_config(args) -> dict:
     """The resolved options, each parsed once: family upper-cased, eps a
-    tuple of floats, p a float or None for auto, tol a float or None."""
+    tuple of floats, p a float or None for auto, tol a float or None.  The
+    schedule and the output directory are checked before any suite runs."""
     cfg = {name: spec[0] for name, spec in _OPTIONS.items()}
     if args.config:
         try:
@@ -270,26 +272,24 @@ def _merge_config(args) -> dict:
             cfg[key] = value
     # inf and nan parse as floats (a bad number raises ValueError: exit 2);
     # each is a usage error, not a verdict
-    if cfg["tol"] is not None and not _positive(cfg["tol"]):
+    if cfg["tol"] is not None and not (isfinite(cfg["tol"]) and cfg["tol"] > 0):
         raise UsageError("--tol must be finite and positive")
     if cfg["quad_order"] < 8:
         raise UsageError("--quad-order must be at least 8")
     if cfg["nmax"] < 1:
         raise UsageError("--nmax must be at least 1")
-    eps = tuple(float(e) for e in cfg["eps"].split(",") if e.strip())
-    if not eps or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise UsageError("--eps must be a strictly decreasing list")
-    if not all(_positive(e) for e in eps):
-        raise UsageError("--eps values must be finite and positive")
+    # the nearest existing path among out and its parents; nothing is created
+    out = Path(cfg["out"])
+    while not out.exists() and out != out.parent:
+        out = out.parent
+    if not out.is_dir():
+        raise UsageError(f"--out {cfg['out']!r} is not a directory")
+    eps = epsilon_schedule(e for e in cfg["eps"].split(",") if e.strip())
     p = None if cfg["p"] == "auto" else float(cfg["p"])  # None: Nbar + 1
     if p is not None and not isfinite(p):
         raise UsageError("--p must be auto or a finite number")
     cfg.update(family=cfg["family"].upper(), eps=eps, p=p)
     return cfg
-
-
-def _positive(x: float) -> bool:
-    return isfinite(x) and x > 0
 
 
 def main(argv=None) -> int:

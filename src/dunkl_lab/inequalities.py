@@ -3,10 +3,11 @@
 ``FUNCTIONALS`` is the single description of the five functionals (L^p
 Hardy, L^2 Hardy, Rellich, weighted Hardy-Rellich, Hardy-Rellich): one row
 each holds the sharp constant in the effective dimension nbar = N + 2*gamma,
-the extremizer family, the admissibility rule, and the numerator and
-denominator as ``Term`` records.  Constants, extremizers, the closed-form,
-quadrature and single-mode quotients and the sweep's admissibility check
-all read that row.
+the threshold of its admissible range, whether its extremizer is mollified,
+and the numerator and denominator as ``Term`` records.  The admissibility
+rule and the extremizer family follow from the threshold.  Constants,
+extremizers, the closed-form, quadrature and single-mode quotients and the
+sweep's admissibility check all read that row.
 
 Sweeps evaluate each quotient twice per epsilon, once from closed-form power
 integrals and once by weighted quadrature on the same profile; the two paths
@@ -47,6 +48,7 @@ __all__ = [
     "oracle_quotient",
     "quadrature_quotient",
     "extrapolate_to_zero",
+    "epsilon_schedule",
     "sharpness_sweep",
     "alternate_exponent_limit",
     "mode_coefficients",
@@ -98,12 +100,11 @@ class Term:
 
 @dataclass(frozen=True)
 class Functional:
-    """One inequality: num >= constant * den over its admissible range."""
+    """One inequality: num >= constant * den for nbar > threshold, or for
+    p > nbar when ``threshold`` is None (the L^p Hardy row, which uses p)."""
 
     constant: Callable  # (nbar, p) -> sharp constant
-    extremizer: Callable  # (nbar, eps, p) -> PiecewiseProfile
-    rule: str  # the admissibility rule, as stated in errors
-    admissible: Callable  # (nbar, p) -> bool
+    threshold: float | None
     mollified: bool  # C^2-joined extremizer: 2% tolerance, 1e-5 slack
     num: Term
     den: Term
@@ -112,61 +113,41 @@ class Functional:
     def uses_p(self) -> bool:
         return self.num.q is None
 
+    @property
+    def rule(self) -> str:
+        """The admissibility rule, as stated in errors."""
+        return "p > nbar" if self.threshold is None else f"nbar > {self.threshold:g}"
 
+    def admissible(self, nbar: float, p) -> bool:
+        return p > nbar if self.threshold is None else nbar > self.threshold
+
+    def extremizer(self, nbar: float, eps: float, p) -> PiecewiseProfile:
+        """The profile whose quotient tends to the constant as eps -> 0: the
+        L^p Hardy profile, or the power r^(-(nbar - threshold + eps)/2)."""
+        if self.threshold is None:
+            return hardy_p_profile(p, nbar, eps)
+        power = mollified_power_profile if self.mollified else step_power_profile
+        return power(-(nbar - self.threshold + eps) / 2.0)
+
+
+# each row: constant(nbar, p), threshold, mollified, numerator, denominator
 FUNCTIONALS = {
     "hardy_p": Functional(
-        constant=lambda nbar, p: ((p - nbar) / p) ** p,
-        extremizer=lambda nbar, eps, p: hardy_p_profile(p, nbar, eps),
-        rule="p > nbar",
-        admissible=lambda nbar, p: p > nbar,
-        mollified=False,
-        num=Term("grad", q=None, head="eps", tail=None),
-        den=Term("value", k=-1, q=None, head="eps", tail="weight"),
-    ),
+        lambda nbar, p: ((p - nbar) / p) ** p, None, False,
+        Term("grad", q=None, head="eps", tail=None),
+        Term("value", k=-1, q=None, head="eps", tail="weight")),
     "hardy_2": Functional(
-        constant=lambda nbar, p: ((nbar - 2.0) / 2.0) ** 2,
-        extremizer=lambda nbar, eps, p: step_power_profile(
-            -(nbar - 2.0 + eps) / 2.0
-        ),
-        rule="nbar > 2",
-        admissible=lambda nbar, p: nbar > 2.0,
-        mollified=False,
-        num=Term("grad"),
-        den=Term("value", k=-1, head="weight"),
-    ),
+        lambda nbar, p: ((nbar - 2.0) / 2.0) ** 2, 2.0, False,
+        Term("grad"), Term("value", k=-1, head="weight")),
     "rellich": Functional(
-        constant=lambda nbar, p: nbar**2 * (nbar - 4.0) ** 2 / 16.0,
-        extremizer=lambda nbar, eps, p: mollified_power_profile(
-            -(nbar - 4.0 + eps) / 2.0
-        ),
-        rule="nbar > 4",
-        admissible=lambda nbar, p: nbar > 4.0,
-        mollified=True,
-        num=Term("lap"),
-        den=Term("value", k=-2, head="weight"),
-    ),
+        lambda nbar, p: nbar**2 * (nbar - 4.0) ** 2 / 16.0, 4.0, True,
+        Term("lap"), Term("value", k=-2, head="weight")),
     "weighted_hr": Functional(
-        constant=lambda nbar, p: (nbar - 2.0) ** 2 / 4.0,
-        extremizer=lambda nbar, eps, p: mollified_power_profile(
-            -(nbar - 2.0 + eps) / 2.0
-        ),
-        rule="nbar > 2",
-        admissible=lambda nbar, p: nbar > 2.0,
-        mollified=True,
-        num=Term("lap", k=1),
-        den=Term("grad"),
-    ),
+        lambda nbar, p: (nbar - 2.0) ** 2 / 4.0, 2.0, True,
+        Term("lap", k=1), Term("grad")),
     "hardy_rellich": Functional(
-        constant=lambda nbar, p: nbar**2 / 4.0,
-        extremizer=lambda nbar, eps, p: mollified_power_profile(
-            -(nbar - 4.0 + eps) / 2.0
-        ),
-        rule="nbar > 4",
-        admissible=lambda nbar, p: nbar > 4.0,
-        mollified=True,
-        num=Term("lap"),
-        den=Term("grad", k=-1),
-    ),
+        lambda nbar, p: nbar**2 / 4.0, 4.0, True,
+        Term("lap"), Term("grad", k=-1)),
 }
 
 
@@ -275,6 +256,19 @@ class RayleighSweep:
         ]
 
 
+def epsilon_schedule(epsilons) -> tuple:
+    """The schedule as a tuple of floats.  Raises ValueError unless it is
+    non-empty, finite, strictly decreasing and nowhere below 1e-4."""
+    epsilons = tuple(float(e) for e in epsilons)
+    if not epsilons or not np.all(np.isfinite(epsilons)):
+        raise ValueError("epsilon schedule must be non-empty and finite")
+    if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
+        raise ValueError("epsilon schedule must be strictly decreasing")
+    if epsilons[-1] < 1e-4:
+        raise ValueError("epsilons below 1e-4 are under the quadrature floor")
+    return epsilons
+
+
 def sharpness_sweep(
     kind: str,
     N: int,
@@ -289,18 +283,11 @@ def sharpness_sweep(
     Pure-power families default to 1% tolerance, mollified ones to 2%; the
     oracle and quadrature paths must agree to 1e-6 at every eps >= 1e-3.
     Raises ValueError for an unknown kind, outside the functional's
-    admissible range, for an empty, non-finite or not strictly decreasing
-    schedule, for one that goes below 1e-4, and for a tolerance that is not
-    finite and positive.
+    admissible range, for a schedule that ``epsilon_schedule`` rejects, and
+    for a tolerance that is not finite and positive.
     """
     f = _functional(kind)
-    epsilons = tuple(float(e) for e in epsilons)
-    if not epsilons or not np.all(np.isfinite(epsilons)):
-        raise ValueError("epsilon schedule must be non-empty and finite")
-    if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
-        raise ValueError("epsilon schedule must be strictly decreasing")
-    if epsilons[-1] < 1e-4:
-        raise ValueError("epsilons below 1e-4 are under the quadrature floor")
+    epsilons = epsilon_schedule(epsilons)
     nbar = N + 2.0 * gamma
     if not f.uses_p:
         p = None

@@ -13,10 +13,11 @@ permutation, each built on first use and kept on the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, sqrt
+from itertools import combinations
+from math import gcd, inf, lcm, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -133,17 +134,22 @@ class Root:
 
     @cached_property
     def signed_permutation(self) -> SignedPermutation | None:
-        """sigma_alpha as a SignedPermutation, or None when it is not one
-        (e.g. direction (1, 2)); every built-in exact root has one."""
-        rows = [[(j, c) for j, c in enumerate(row) if c]
-                for row in reflection_matrix(self, exact=True)]
-        if not all(len(r) == 1 and abs(r[0][1]) == 1 for r in rows):
+        """sigma_alpha as a SignedPermutation, read off the integer direction
+        w: e_i flips x_i, e_i - e_j swaps x_i and x_j, and e_i + e_j swaps
+        and flips both.  None for any other w (e.g. (1, 2)) and for a float
+        root; every built-in exact root has one."""
+        if not self.exact:
             return None
-        inverse = [0] * len(rows)
-        for i, ((j, _),) in enumerate(rows):
-            inverse[j] = i
-        flipped = tuple(i for i, ((_, c),) in enumerate(rows) if c < 0)
-        return SignedPermutation(tuple(inverse), flipped)
+        w, _ = self.integer_direction
+        axes = tuple(i for i, c in enumerate(w) if c)
+        if len(axes) > 2 or any(abs(w[i]) != 1 for i in axes):
+            return None
+        perm = list(range(len(w)))
+        if len(axes) == 1:
+            return SignedPermutation(tuple(perm), axes)
+        i, j = axes
+        perm[i], perm[j] = j, i
+        return SignedPermutation(tuple(perm), axes if w[j] > 0 else ())
 
     def __repr__(self):
         return f"Root({tuple(str(x) for x in self.direction)})"
@@ -156,7 +162,6 @@ class RootSystem:
     dimension: int
     positive_roots: tuple
     multiplicities: tuple  # aligned with positive_roots
-    orbit_labels: tuple  # orbit index per positive root
 
     @property
     def exact(self) -> bool:
@@ -177,7 +182,65 @@ class RootSystem:
 # construction
 
 
-def _expand_multiplicities(multiplicities, n_orbits, exact):
+# the exact I2(m) directions, at angles 0, pi/4, pi/2 and 3 pi/4
+_DIHEDRAL_EXACT = ((1, 0), (1, 1), (0, 1), (1, -1))
+
+
+def _root(n, *entries):
+    """The exact root in R^n with the given (axis, entry) pairs, 0 elsewhere."""
+    d = [Fraction(0)] * n
+    for i, c in entries:
+        d[i] = Fraction(c)
+    return Root(tuple(d))
+
+
+def _dihedral_root(j, m):
+    """The I2(m) root at angle j*pi/m.  By Niven's theorem its slope is
+    rational only at multiples of pi/4, i.e. when m divides 4j."""
+    if 4 * j % m == 0:
+        return _root(2, *enumerate(_DIHEDRAL_EXACT[4 * j // m]))
+    theta = np.pi * j / m
+    return Root((np.cos(theta), np.sin(theta)), exact=False)
+
+
+def build_root_system(family: str, rank: int, multiplicities) -> RootSystem:
+    """Construct one of the supported families A(n), B(n), Z2^n, I2(m).
+
+    ``multiplicities`` is one value per conjugacy orbit of roots (a scalar is
+    broadcast to all orbits), each finite and nonnegative: a Fraction for an
+    exact system (a float by its nearest fraction of denominator <= 1e12),
+    a float otherwise.  A(n) lives in R^(n+1); the others in R^rank (I2(m)
+    in R^2 with rank = m).
+    """
+    family = family.upper()
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+
+    # (root, orbit label) pairs; orbits are labelled 0, 1, ...
+    if family == "A":
+        dim = rank + 1
+        pairs = [(_root(dim, (i, 1), (j, -1)), 0)
+                 for i, j in combinations(range(dim), 2)]
+    elif family == "B":
+        if rank < 2:
+            raise ValueError("B(n) needs rank >= 2")
+        dim = rank
+        pairs = [(_root(dim, (i, 1), (j, s)), 0)
+                 for i, j in combinations(range(dim), 2) for s in (-1, 1)]
+        pairs += [(_root(dim, (i, 1)), 1) for i in range(dim)]  # sqrt(2) e_i
+    elif family == "Z2":
+        dim = rank
+        pairs = [(_root(dim, (i, 1)), i) for i in range(dim)]
+    elif family == "I2":
+        dim, m = 2, rank
+        pairs = [(_dihedral_root(j, m), j % 2 if m % 2 == 0 else 0)
+                 for j in range(m)]
+    else:
+        raise ValueError(f"unknown family {family!r}; expected A, B, Z2 or I2")
+
+    roots, orbits = zip(*pairs)
+    exact = all(r.exact for r in roots)
+    n_orbits = 1 + max(orbits)
     if not isinstance(multiplicities, (list, tuple)):
         multiplicities = [multiplicities] * n_orbits
     if len(multiplicities) != n_orbits:
@@ -185,118 +248,27 @@ def _expand_multiplicities(multiplicities, n_orbits, exact):
             f"expected {n_orbits} multiplicities (one per root orbit), "
             f"got {len(multiplicities)}"
         )
-    out = []
+    ks = []
     for k in multiplicities:
-        if isinstance(k, float) and not float(k).is_integer():
-            kk = Fraction(k).limit_denominator(10**12) if exact else k
-            out.append(kk)
-        else:
-            out.append(_as_fraction(k) if exact else float(k))
-    for k in out:
-        if k < 0:
-            raise ValueError("multiplicities must be nonnegative")
-    return tuple(out)
-
-
-def build_root_system(family: str, rank: int, multiplicities) -> RootSystem:
-    """Construct one of the supported families A(n), B(n), Z2^n, I2(m).
-
-    ``multiplicities`` is one value per conjugacy orbit of roots (a scalar is
-    broadcast to all orbits).  A(n) lives in R^(n+1); the others in R^rank
-    (I2(m) in R^2 with rank = m).
-    """
-    family = family.upper()
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-
-    roots: list[Root] = []
-    orbits: list[int] = []
-    if family == "A":
-        n = rank + 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = [Fraction(0)] * n
-                d[i], d[j] = Fraction(1), Fraction(-1)
-                roots.append(Root(tuple(d)))
-                orbits.append(0)
-        dim, n_orbits = n, 1
-    elif family == "B":
-        if rank < 2:
-            raise ValueError("B(n) needs rank >= 2")
-        n = rank
-        for i in range(n):
-            for j in range(i + 1, n):
-                for s in (Fraction(-1), Fraction(1)):
-                    d = [Fraction(0)] * n
-                    d[i], d[j] = Fraction(1), s
-                    roots.append(Root(tuple(d)))
-                    orbits.append(0)
-        for i in range(n):
-            d = [Fraction(0)] * n
-            d[i] = Fraction(1)  # alpha = sqrt(2) e_i
-            roots.append(Root(tuple(d)))
-            orbits.append(1)
-        dim, n_orbits = n, 2
-    elif family == "Z2":
-        n = rank
-        for i in range(n):
-            d = [Fraction(0)] * n
-            d[i] = Fraction(1)
-            roots.append(Root(tuple(d)))
-            orbits.append(i)
-        dim, n_orbits = n, n
-    elif family == "I2":
-        m = rank
-        # positive roots at angles j*pi/m, j = 0..m-1; the direction only
-        # matters up to scale, so the root is exact whenever tan(theta) is
-        # rational (m = 1, 2, 4 and the axis-aligned roots of other m)
-        for j in range(m):
-            theta = np.pi * j / m
-            c, s = np.cos(theta), np.sin(theta)
-            if abs(c) < 1e-15:
-                roots.append(Root((Fraction(0), Fraction(1))))
-            else:
-                ratio = Fraction(s / c).limit_denominator(8)
-                if abs(float(ratio) - s / c) < 1e-14:
-                    roots.append(Root((Fraction(1), ratio)))
-                else:
-                    roots.append(Root((c, s), exact=False))
-            orbits.append(j % 2 if m % 2 == 0 else 0)
-        dim = 2
-        n_orbits = 2 if (m % 2 == 0 and m >= 2) else 1
-    else:
-        raise ValueError(f"unknown family {family!r}; expected A, B, Z2 or I2")
-
-    exact = all(r.exact for r in roots)
-    mult_per_orbit = _expand_multiplicities(multiplicities, n_orbits, exact)
-    mults = tuple(mult_per_orbit[o] for o in orbits)
-    return RootSystem(
-        family=family,
-        rank=rank,
-        dimension=dim,
-        positive_roots=tuple(roots),
-        multiplicities=mults,
-        orbit_labels=tuple(orbits),
-    )
+        if not exact:
+            k = float(k)
+        elif not isinstance(k, float):
+            k = _as_fraction(k)
+        elif 0 <= k < inf:  # a nan, inf or negative float fails below
+            k = Fraction(k).limit_denominator(10**12)
+        if not 0 <= k < inf:
+            raise ValueError("multiplicities must be finite and nonnegative")
+        ks.append(k)
+    return RootSystem(family, rank, dim, roots, tuple(ks[o] for o in orbits))
 
 
 def embed_root_system(rs: RootSystem, dimension: int) -> RootSystem:
     """Zero-pad the roots into a larger ambient space (span stays the same)."""
     if dimension < rs.dimension:
         raise ValueError("target dimension smaller than current one")
-    pad = dimension - rs.dimension
-    zero = Fraction(0) if rs.exact else 0.0
-    roots = tuple(
-        Root(r.direction + (zero,) * pad, r.exact) for r in rs.positive_roots
-    )
-    return RootSystem(
-        family=rs.family,
-        rank=rs.rank,
-        dimension=dimension,
-        positive_roots=roots,
-        multiplicities=rs.multiplicities,
-        orbit_labels=rs.orbit_labels,
-    )
+    pad = (Fraction(0) if rs.exact else 0.0,) * (dimension - rs.dimension)
+    roots = tuple(Root(r.direction + pad, r.exact) for r in rs.positive_roots)
+    return replace(rs, dimension=dimension, positive_roots=roots)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dunkl_lab import harmonics, polyalg
+from dunkl_lab import cli, harmonics, polyalg
 from dunkl_lab.cli import main
 from dunkl_lab.reflection import build_root_system
 
@@ -15,6 +15,16 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def _run(args):
     return main(args)
+
+
+def _record_suites(monkeypatch):
+    """Replace every suite by a stub that only records its name."""
+    ran = []
+    monkeypatch.setattr(cli, "_SUITE_FNS", {
+        name: lambda rs, cfg, name=name: ran.append(name) or ([], {})
+        for name in cli._SUITE_FNS
+    })
+    return ran
 
 
 def test_identities_suite_passes(tmp_path):
@@ -214,6 +224,32 @@ def test_out_that_is_not_a_directory_is_a_usage_error(tmp_path, capsys, below):
                  "--nmax", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dunkl-lab: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "under-a-file"])
+def test_out_that_is_not_a_directory_is_rejected_before_any_suite_runs(
+        tmp_path, monkeypatch, capsys, below):
+    ran = _record_suites(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "o" if below else blocker
+    assert _run(["verify", "all", "--family", "B", "--rank", "3",
+                 "--out", str(out)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_an_epsilon_below_the_floor_is_rejected_before_any_suite_runs(
+        tmp_path, monkeypatch, capsys):
+    ran = _record_suites(monkeypatch)
+    out = tmp_path / "o"
+    assert _run(["verify", "all", "--family", "B", "--rank", "3",
+                 "--eps", "0.3,0.00001", "--out", str(out)]) == 2
+    assert "under the quadrature floor" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
+    # the stubs do run once the schedule is valid
+    assert _run(["verify", "all", "--eps", "0.3,0.001", "--out", str(out)]) == 0
+    assert ran == list(cli._SUITE_FNS)
 
 
 def test_dihedral_order_is_the_rank(tmp_path):

@@ -73,6 +73,33 @@ def test_oracle_and_quadrature_paths_agree(kind):
         assert abs(qo - qq) / qo < 1e-6
 
 
+FUNCTIONAL_RULES = [("hardy_p", "p > nbar", None), ("hardy_2", "nbar > 2", 2.0),
+                    ("rellich", "nbar > 4", 4.0), ("weighted_hr", "nbar > 2", 2.0),
+                    ("hardy_rellich", "nbar > 4", 4.0)]
+
+
+def test_every_functional_has_a_stated_rule():
+    assert [kind for kind, _, _ in FUNCTIONAL_RULES] == list(FUNCTIONALS)
+
+
+@pytest.mark.parametrize("kind, rule, threshold", FUNCTIONAL_RULES,
+                         ids=[kind for kind, _, _ in FUNCTIONAL_RULES])
+def test_each_functional_is_admissible_just_above_its_threshold(kind, rule,
+                                                                 threshold):
+    f = FUNCTIONALS[kind]
+    assert f.rule == rule
+    if threshold is None:  # p > nbar
+        assert not f.admissible(5.0, 5.0) and f.admissible(5.0, 5.0 + 1e-9)
+        with pytest.raises(ValueError, match=f"{kind} needs p > nbar"):
+            sharpness_sweep(kind, 3, 1.0, p=5.0)
+    else:
+        assert not f.admissible(threshold, None)
+        assert f.admissible(threshold + 1e-9, None)
+        # N = 2, gamma = (threshold - 2) / 2: nbar is the threshold itself
+        with pytest.raises(ValueError, match=f"{kind} needs {rule} "):
+            sharpness_sweep(kind, 2, (threshold - 2.0) / 2.0)
+
+
 def test_sweep_converges_and_is_monotone():
     sweep = sharpness_sweep("hardy_2", 3, 1.0)
     assert sweep.converged

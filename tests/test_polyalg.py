@@ -246,7 +246,7 @@ def test_divided_difference_on_custom_roots(root, rng):
     # the hand-built root (1, 2) reflects by compose_linear
     RootSystem(family="custom", rank=1, dimension=2,
                positive_roots=(CUSTOM_ROOTS[0],),
-               multiplicities=(Fraction(1, 2),), orbit_labels=(0,)),
+               multiplicities=(Fraction(1, 2),)),
 ], ids=["A3", "B3", "Z2^3", "I2(4)", "json(1,2)"])
 def test_gradient_matches_dunkl_apply(rs, rng):
     for degree in (1, 3, 4):
@@ -257,8 +257,7 @@ def test_gradient_matches_dunkl_apply(rs, rng):
 
 def _rank_one(root, k):
     return RootSystem(family="custom", rank=1, dimension=root.dim,
-                      positive_roots=(root,), multiplicities=(k,),
-                      orbit_labels=(0,))
+                      positive_roots=(root,), multiplicities=(k,))
 
 
 # -- the closed-form kernels against reflect-subtract-divide oracles -----------

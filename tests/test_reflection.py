@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,55 @@ from dunkl_lab.reflection import (
     rho,
     weight,
 )
+
+GOLDEN = Path(__file__).parent / "golden" / "root_systems.json"
+
+# (family, rank, multiplicities) for every golden root system: each family
+# over a range of ranks with six scalar k, then three per-orbit lists
+GOLDEN_CASES = [
+    (family, rank, k)
+    for family, ranks in (("A", range(1, 7)), ("B", range(2, 7)),
+                          ("Z2", range(1, 8)), ("I2", range(1, 41)))
+    for rank in ranks
+    for k in (1, Fraction(1, 2), 0, 0.5, "1/3", 2)
+] + [
+    ("B", 3, [Fraction(1, 2), 1]),
+    ("Z2", 3, [1, Fraction(1, 3), 2]),
+    ("I2", 4, [1, Fraction(1, 2)]),
+]
+
+
+def _golden_key(family, rank, k):
+    return f"{family}({rank}) k={k!r}"
+
+
+def _golden_record(family, rank, k):
+    """Every field of the built system as strings, or the exception type
+    that building it raises."""
+    try:
+        rs = build_root_system(family, rank, k)
+    except Exception as exc:  # noqa: BLE001 - the type is the record
+        return {"raises": type(exc).__name__}
+    roots = []
+    for root in rs.positive_roots:
+        record = {"direction": [str(x) for x in root.direction],
+                  "exact": root.exact, "integer_direction": None,
+                  "signed_permutation": None}
+        if root.exact:
+            w, s = root.integer_direction
+            record["integer_direction"] = [list(w), str(s)]
+            sp = root.signed_permutation
+            record["signed_permutation"] = sp and [list(sp.perm),
+                                                   list(sp.flipped)]
+        roots.append(record)
+    return {"family": rs.family, "rank": rs.rank, "dimension": rs.dimension,
+            "roots": roots,
+            "multiplicities": [str(k) for k in rs.multiplicities],
+            "gamma": str(rs.gamma)}
+
+
+def _golden_records():
+    return {_golden_key(*case): _golden_record(*case) for case in GOLDEN_CASES}
 
 
 def test_root_normalization(rs_a2, rs_b2, rs_z23):
@@ -134,6 +185,24 @@ def test_i2_exactness_flags():
     assert not build_root_system("I2", 3, 1).exact
 
 
+@pytest.mark.parametrize("family, rank, k", [
+    ("I2", 3, float("nan")),
+    ("I2", 3, float("inf")),
+    ("I2", 3, "inf"),
+    ("A", 2, float("inf")),
+    ("A", 2, float("nan")),
+    ("B", 2, [1, float("inf")]),
+    ("Z2", 2, -0.5),
+    ("Z2", 2, Fraction(-1, 2)),
+], ids=["I2-nan", "I2-inf", "I2-'inf'", "A-inf", "A-nan", "B-[1,inf]",
+        "Z2--0.5", "Z2--1/2"])
+def test_multiplicities_must_be_finite_and_nonnegative(family, rank, k):
+    # a float dihedral system used to accept nan and inf as gamma, and an
+    # exact one raised OverflowError on inf
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        build_root_system(family, rank, k)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3))
 def test_reflect_fixes_hyperplane_points(coords):
@@ -142,3 +211,30 @@ def test_reflect_fixes_hyperplane_points(coords):
     x[0] = 0.0  # on the first hyperplane
     root = rs.positive_roots[0]
     assert np.allclose(reflect(root, x), x, atol=1e-12)
+
+
+def test_root_systems_match_the_golden_file():
+    golden = json.loads(GOLDEN.read_text())
+    assert list(golden) == [_golden_key(*case) for case in GOLDEN_CASES]
+    for key, record in _golden_records().items():
+        assert record == golden[key], key
+
+
+@pytest.mark.parametrize("m", range(1, 201))
+def test_dihedral_roots_are_exact_by_nivens_theorem(m):
+    # the root at angle j*pi/m has a rational slope iff the angle is a
+    # multiple of pi/4, i.e. iff m divides 4j; any exact direction is
+    # parallel to (cos, sin) of that angle
+    rs = build_root_system("I2", m, 1)
+    for j, root in enumerate(rs.positive_roots):
+        assert root.exact == (4 * j % m == 0), (m, j)
+        v = np.array([float(x) for x in root.direction])
+        t = np.pi * j / m
+        assert abs(v[0] * np.sin(t) - v[1] * np.cos(t)) < 1e-12 * np.linalg.norm(v)
+
+
+if __name__ == "__main__":
+    # regenerate the golden file: python tests/test_reflection.py
+    lines = [f"{json.dumps(key)}: {json.dumps(record)}"
+             for key, record in _golden_records().items()]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
