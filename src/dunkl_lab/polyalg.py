@@ -24,7 +24,13 @@ k_alpha * alpha_i * (p - p o sigma_alpha)/<alpha, x>, is computed with the
 root's rational direction v (alpha = c v):  alpha_i/<alpha, x> = v_i/<v, x>,
 so the sqrt(2) scale cancels and every operator output stays rational.
 T_i p and the Dunkl Laplacian each read their derivatives off p's terms and
-sum every contribution in one integer dict over a common denominator.
+sum every contribution in one integer dict over a common denominator.  The
+Laplacian's term of a signed-permutation root,
+k_alpha (2 <grad p, w> - |w|^2 (p - p o sigma_alpha)/<w, x>)/<w, x> for the
+integer direction w, is built per monomial in closed form as well:
+x^e maps to 2 (e_i - [e_i odd]) x^(e - 2 e_i) for w = e_i, and to a weighted
+sum in x_i, x_j for w = e_i -+ e_j (see ``dunkl_laplacian_fast``); any other
+rational root takes its divided difference and divides by the linear form.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
@@ -112,7 +119,11 @@ class _Terms(Mapping):
 
 class Polynomial:
     """Sparse polynomial: exponent tuple -> int numerator over one int
-    denominator, in canonical form (see the module docstring)."""
+    denominator, in canonical form (see the module docstring).
+
+    Each exponent must be a tuple of nvars non-negative ``int``s (no
+    ``bool``); anything else raises ``ValueError``, whatever its coefficient.
+    """
 
     __slots__ = ("nvars", "_num", "_den")
 
@@ -120,11 +131,15 @@ class Polynomial:
         coeffs = {}
         if terms:
             for e, c in terms.items():
+                e = tuple(e)
+                if len(e) != nvars:
+                    raise ValueError("exponent tuple length != nvars")
+                if not all(type(m) is int and m >= 0 for m in e):
+                    raise ValueError(
+                        f"exponent {e!r} is not a tuple of non-negative ints")
                 c = _frac(c)
                 if c != 0:
-                    if len(e) != nvars:
-                        raise ValueError("exponent tuple length != nvars")
-                    coeffs[tuple(e)] = c
+                    coeffs[e] = c
         # reduced Fractions over their lcm have coprime numerators
         den = lcm(*(c.denominator for c in coeffs.values()))
         self.nvars, self._den = nvars, den
@@ -386,6 +401,61 @@ def reflect_poly(p: Polynomial, root: Root) -> Polynomial:
     return _wrap(p.nvars, terms, p._den)
 
 
+def _add_pair_terms(acc: dict, num: dict, axes, plus: bool, form, odd: bool,
+                    scale: int) -> None:
+    """Add scale times the image of sum c x^e (the numerators num) under
+    the closed form ``form`` of the root e_i - e_j (plus false) or e_i + e_j
+    (plus true), (i, j) = axes, to acc; see ``_pair_image``."""
+    i, j = axes
+    for e, c in num.items():
+        head, mid, tail = e[:i], e[i + 1 : j], e[j + 1 :]
+        c *= scale
+        for ai, aj, x in _pair_image(form, odd, e[i], e[j], plus):
+            f = head + (ai,) + mid + (aj,) + tail
+            acc[f] = acc.get(f, 0) + c * x
+
+
+@lru_cache(maxsize=4096)
+def _pair_image(form, odd: bool, a: int, b: int, plus: bool) -> tuple:
+    """((power of x_i, power of x_j, weight), ...) of the image of
+    x_i^a x_j^b under a closed form of the root e_i - e_j (plus false) or
+    e_i + e_j (plus true).
+
+    For a >= b, form(b, a - b) gives (top, ((v, x), ...)): the image is
+    sum x x_i^(top - v) x_j^v.  When a < b, form(a, b - a) is read with the
+    two exponents swapped, and negated if odd (the form is odd under that
+    swap).  For e_i + e_j, x_i^a x_j^b = (-1)^b x_i^a y^b with y = -x_j and
+    <w, x> = x_i - y, so the image takes the sign (-1)^b and each y^u is
+    read back as (-1)^u x_j^u.
+    """
+    swap = a < b
+    top, terms = form(a, b - a) if swap else form(b, a - b)
+    sign = -1 if odd and swap else 1
+    if plus and b & 1:
+        sign = -sign
+    image = []
+    for v, x in terms:
+        u = top - v if swap else v  # the power of x_j
+        image.append((top - u, u, -sign * x if plus and u & 1 else sign * x))
+    return tuple(image)
+
+
+def _difference_pair(m: int, d: int) -> tuple:
+    """x_i^(m+d) x_j^m -> sum_(t<d) x_i^(m+t) x_j^(m+d-1-t), the divided
+    difference by e_i - e_j, in ``_pair_image``'s form."""
+    return 2 * m + d - 1, tuple((v, 1) for v in range(m, m + d))
+
+
+def _laplacian_pair(m: int, d: int) -> tuple:
+    """x_i^(m+d) x_j^m -> sum_(t<d-1) (t+1) x_i^(m+t) x_j^(m+d-2-t)
+    - m x_i^(m+d-1) x_j^(m-1), half the Laplacian term of e_i - e_j, in
+    ``_pair_image``'s form."""
+    terms = tuple((m + d - 2 - t, t + 1) for t in range(d - 1))
+    if m:
+        terms += ((m - 1, -m),)
+    return 2 * m + d - 2, terms
+
+
 def divided_difference(p: Polynomial, root: Root) -> Polynomial:
     """Exact q with <v, x> q = p - p o sigma_alpha, v the rational direction.
 
@@ -406,13 +476,12 @@ def divided_difference(p: Polynomial, root: Root) -> Polynomial:
     The quotient against <alpha, x> itself is q / c with c = sqrt(2/|v|^2);
     the scale cancels inside Dunkl operators and is left to the caller.
     """
-    if root.signed_permutation is None:
+    if root.signed_axes is None:
         diff = p - reflect_poly(p, root)
         if diff.is_zero():
             return Polynomial(p.nvars)
         return _divide_by_linear(diff, root)
-    w, s = root.integer_direction
-    axes = [i for i, c in enumerate(w) if c]
+    axes, plus = root.signed_axes
     t: dict = {}
     if len(axes) == 1:
         (i,) = axes
@@ -420,24 +489,9 @@ def divided_difference(p: Polynomial, root: Root) -> Polynomial:
             if e[i] & 1:
                 t[e[:i] + (e[i] - 1,) + e[i + 1 :]] = 2 * c
     else:
-        i, j = axes
-        plus = w[j] > 0
-        for e, c in p._num.items():
-            a, b = e[i], e[j]
-            if a == b:
-                continue
-            if a < b:
-                m, d, c = a, b - a, -c
-            else:
-                m, d = b, a - b
-            if plus and b & 1:
-                c = -c
-            head, mid, tail = e[:i], e[i + 1 : j], e[j + 1 :]
-            top = 2 * m + d - 1  # the degree in (x_i, x_j) of every term
-            for u in range(m, m + d):  # u = m + d - 1 - t, the power of x_j
-                f = head + (top - u,) + mid + (u,) + tail
-                t[f] = t.get(f, 0) + (-c if plus and u & 1 else c)
+        _add_pair_terms(t, p._num, axes, plus, _difference_pair, True, 1)
         t = {f: c for f, c in t.items() if c}
+    s = root.integer_direction[1]
     if s.numerator != 1:
         t = {f: c * s.numerator for f, c in t.items()}
     return _canonical(p.nvars, t, p._den * s.denominator)
@@ -498,19 +552,62 @@ def dunkl_gradient_sym(rs: RootSystem, p: Polynomial) -> list:
     return _dunkl_terms(rs, p, range(rs.dimension))
 
 
+def _add_laplacian_root(acc: dict, num: dict, root: Root, scale: int) -> None:
+    """Add scale * (2 <grad p, w> - |w|^2 D_w p)/<w, x> to acc, p the
+    numerators num and D_w p = (p - p o sigma)/<w, x>, for a
+    signed-permutation root with integer direction w (see
+    ``dunkl_laplacian_fast`` for the closed forms)."""
+    axes, plus = root.signed_axes
+    if len(axes) == 2:
+        _add_pair_terms(acc, num, axes, plus, _laplacian_pair, False, 2 * scale)
+        return
+    (i,) = axes
+    for e, c in num.items():
+        a = e[i]
+        if a > 1:
+            f = e[:i] + (a - 2,) + e[i + 1 :]
+            acc[f] = acc.get(f, 0) + 2 * (a & ~1) * scale * c  # a - [a odd]
+
+
 def dunkl_laplacian_fast(rs: RootSystem, p: Polynomial) -> Polynomial:
-    """Dunkl Laplacian via the gradient/difference formula (single route),
-    summed in one integer dict."""
+    """Delta_k p = Delta p + sum_alpha k_alpha (2 <grad p, alpha>/<alpha, x>
+    - |alpha|^2 (p - p o sigma_alpha)/<alpha, x>^2), summed in one integer
+    dict over p's denominator times the multiplicities' common denominator.
+
+    With v = w / s (``Root.integer_direction``) the scale s cancels: root
+    alpha adds k_alpha (2 <grad p, w> - |w|^2 D_w p)/<w, x>, with
+    D_w p = (p - p o sigma_alpha)/<w, x>.  When sigma_alpha is a signed
+    permutation, w is e_i, e_i - e_j or e_i + e_j (i < j) and that term is
+    built per monomial in closed form, with no divided difference or
+    division; with a = e_i and b = e_j, x^e gives
+    - w = e_i: 2 (a - [a odd]) x^(e - 2 e_i);
+    - w = e_i - e_j, with m = min(a, b), d = |a - b|:
+      2 sum_(t<d-1) (t+1) x_i^(m+t) x_j^(m+d-2-t) - 2m x_i^(m+d-1) x_j^(m-1),
+      the other exponents unchanged and the (x_i, x_j) exponents swapped when
+      a < b (the term is symmetric under that swap); a = b gives
+      -2m (x_i x_j)^(m-1);
+    - w = e_i + e_j: with y = -x_j, (-1)^b times the e_i - e_j formula in
+      (x_i, y), each y^u read back as (-1)^u x_j^u.
+    The swap, sign and read-back rules of e_i -+ e_j are the ones
+    ``divided_difference`` uses, applied by the same ``_pair_image``.
+    Any other root (e.g. direction (1, 2)) takes its divided difference and
+    divides 2 <grad p, v> - |v|^2 q by <v, x> synthetically.
+    """
     _require_exact(rs)
     n = rs.dimension
+    active = rs.active_roots()
+    scale = lcm(*(k.denominator for _, k in active))
     lap: dict = {}
     for e, c in p._num.items():
         for i, m in enumerate(e):
             if m > 1:
                 f = e[:i] + (m - 2,) + e[i + 1 :]
-                lap[f] = lap.get(f, 0) + c * m * (m - 1)
-    parts = [(lap, p._den, 1)]
-    for root, k in rs.active_roots():
+                lap[f] = lap.get(f, 0) + c * scale * m * (m - 1)
+    parts = []
+    for root, k in active:
+        if root.signed_axes is not None:
+            _add_laplacian_root(lap, p._num, root, k.numerator * (scale // k.denominator))
+            continue
         w, s = root.integer_direction
         q = divided_difference(p, root)
         # 2 <grad p, alpha>/<alpha,x> - 2 (p - p o sigma)/<alpha,x>^2
@@ -522,7 +619,9 @@ def dunkl_laplacian_fast(rs: RootSystem, p: Polynomial) -> Polynomial:
         # quotient, so num/den need no gcd here
         quotient = _divide_by_linear(_wrap(n, num, den), root)
         parts.append((quotient._num, quotient._den, k))
-    return _canonical(n, *_add_scaled(parts))
+    if parts:
+        return _canonical(n, *_add_scaled([(lap, p._den * scale, 1)] + parts))
+    return _canonical(n, {f: c for f, c in lap.items() if c}, p._den * scale)
 
 
 def sphere_mean(rs: RootSystem):

@@ -133,23 +133,33 @@ class Root:
         return tuple(x // g for x in w), Fraction(den, g)
 
     @cached_property
-    def signed_permutation(self) -> SignedPermutation | None:
-        """sigma_alpha as a SignedPermutation, read off the integer direction
-        w: e_i flips x_i, e_i - e_j swaps x_i and x_j, and e_i + e_j swaps
-        and flips both.  None for any other w (e.g. (1, 2)) and for a float
-        root; every built-in exact root has one."""
+    def signed_axes(self) -> tuple | None:
+        """(axes, plus) when sigma_alpha is a signed permutation, read off the
+        integer direction w: ((i,), False) for w = e_i and ((i, j), w_j > 0)
+        for w = e_i -+ e_j, i < j.  None for any other w (e.g. (1, 2)) and
+        for a float root; every built-in exact root has one."""
         if not self.exact:
             return None
         w, _ = self.integer_direction
         axes = tuple(i for i, c in enumerate(w) if c)
         if len(axes) > 2 or any(abs(w[i]) != 1 for i in axes):
             return None
-        perm = list(range(len(w)))
+        return axes, len(axes) == 2 and w[axes[1]] > 0
+
+    @cached_property
+    def signed_permutation(self) -> SignedPermutation | None:
+        """sigma_alpha as a SignedPermutation (see ``signed_axes``): e_i flips
+        x_i, e_i - e_j swaps x_i and x_j, and e_i + e_j swaps and flips
+        both.  None when ``signed_axes`` is None."""
+        if self.signed_axes is None:
+            return None
+        axes, plus = self.signed_axes
+        perm = list(range(self.dim))
         if len(axes) == 1:
             return SignedPermutation(tuple(perm), axes)
         i, j = axes
         perm[i], perm[j] = j, i
-        return SignedPermutation(tuple(perm), axes if w[j] > 0 else ())
+        return SignedPermutation(tuple(perm), axes if plus else ())
 
     def __repr__(self):
         return f"Root({tuple(str(x) for x in self.direction)})"

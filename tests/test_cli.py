@@ -286,11 +286,18 @@ def test_internal_fault_exits_3(tmp_path, capsys):
     assert "internal arithmetic fault" in capsys.readouterr().err
 
 
-def test_negated_divided_difference_is_an_arithmetic_fault(tmp_path, monkeypatch,
-                                                           capsys):
+def test_negated_divided_difference_fails_identity_verdicts(tmp_path, monkeypatch,
+                                                            capsys):
+    # a negated divided difference is T_i at -k, so commutativity still holds;
+    # the closed-form Laplacian, the product rule's correction term and the
+    # divided-difference identity are built without it, so their verdicts fail
     original = polyalg.divided_difference
     monkeypatch.setattr(polyalg, "divided_difference",
                         lambda p, root: -original(p, root))
+    out = tmp_path / "o"
     assert _run(["verify", "identities", "--family", "B", "--rank", "2",
-                 "--out", str(tmp_path / "o")]) == 3
-    assert "internal arithmetic fault" in capsys.readouterr().err
+                 "--out", str(out)]) == 1
+    assert "internal arithmetic fault" not in capsys.readouterr().err
+    doc = json.loads((out / "summary.json").read_text())
+    failed = {d["check"].split("/")[0] for d in doc["details"] if not d["passed"]}
+    assert failed == {"laplacian_routes", "leibniz_general", "divided_difference"}

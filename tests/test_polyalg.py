@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -91,6 +92,16 @@ def test_partial_derivative():
     p = x**3 * y + constant(2, Fraction(5))
     assert p.partial(0) == 3 * (x**2 * y)
     assert p.partial(1) == x**3
+
+
+@pytest.mark.parametrize("exponent", [(-1, 2), (1.0, 2), (True, 2), (1, "2")],
+                         ids=repr)
+def test_polynomial_rejects_bad_exponents(exponent):
+    # a negative or non-int exponent is a usage error, named in the message,
+    # even with a zero coefficient
+    for coefficient in (1, 0):
+        with pytest.raises(ValueError, match=re.escape(repr(exponent))):
+            Polynomial(2, {exponent: coefficient})
 
 
 def test_divided_difference_exactness(rs_b2, rng):
@@ -308,6 +319,12 @@ KERNEL_SYSTEMS = [
 ] + [
     (f"{root!r}/k=5/4", _rank_one(root, Fraction(5, 4)))
     for root in SCALED_ROOTS + [CUSTOM_ROOTS[0]]
+] + [
+    # a closed-form axis root and the fallback root (1, 2) in one sum
+    ("mixed(e1, (1, 2))",
+     RootSystem(family="custom", rank=2, dimension=2,
+                positive_roots=(Root((Fraction(1), Fraction(0))), CUSTOM_ROOTS[0]),
+                multiplicities=(Fraction(1, 2), Fraction(1, 3)))),
 ]
 
 
@@ -325,6 +342,25 @@ def test_dunkl_kernels_match_polynomial_oracles(rs, data):
     lap = dunkl_laplacian_fast(rs, p)
     _assert_canonical(lap)
     assert lap == oracles.dunkl_laplacian(rs, p)
+
+
+def test_laplacian_closed_forms_match_the_oracle_on_every_monomial():
+    # every monomial of degree <= 6 (<= 5 from N = 4 on) on each family, so
+    # each parity of e_i and each ordering of (e_i, e_j) reaches every closed
+    # form of a signed-permutation root
+    from dunkl_lab.harmonics import homogeneous_exponents
+
+    checked, wrong = 0, []
+    for family, rank in ORACLE_FAMILIES:
+        rs = build_root_system(family, rank, Fraction(2, 3))
+        N = rs.dimension
+        for degree in range(7 if N <= 3 else 6):
+            for e in homogeneous_exponents(degree, N):
+                p = Polynomial(N, {e: 1})
+                checked += 1
+                if dunkl_laplacian_fast(rs, p) != oracles.dunkl_laplacian(rs, p):
+                    wrong.append((family, rank, e))
+    assert checked == 658 and wrong == []
 
 
 @pytest.mark.parametrize("root", PIVOT_ROOTS, ids=repr)
