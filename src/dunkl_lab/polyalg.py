@@ -7,17 +7,16 @@ coprime to the numerators, no numerator is zero, and the zero polynomial
 has denominator 1.  So ``==`` and ``hash`` compare plain integers, and every
 sum, product, derivative, reflection and division runs on ints; ``terms``
 is a read-only view that gives each coefficient as a ``Fraction``.
-Reflections act on exponents and signs when sigma_alpha is a signed
-permutation (every built-in exact family: A, B, Z2, I2(1), I2(2), I2(4)),
-and a hand-built rational root whose reflection is not one, such as
-direction (1, 2), acts by exact linear substitution
-(``Polynomial.compose_linear``).  The divided difference
-(p - p o sigma_alpha)/<v, x> of a signed-permutation root is built term by
-term in closed form: its integer direction is e_i, e_i - e_j or e_i + e_j,
-and x^e maps to 2 x^(e - e_i) (e_i odd), to a geometric sum in x_i, x_j,
-or to that sum with the signs of x_j -> -x_j (see ``divided_difference``).
-Any other rational root reflects, subtracts and divides synthetically by
-the linear form.  A floating-point value anywhere in here is a bug.
+The calculus supports the roots whose reflection sigma_alpha is a signed
+permutation: those with integer direction (``Root.integer_direction``) e_i,
+e_i - e_j or e_i + e_j, which are all the exact roots of the built-in
+families (A, B, Z2, I2(1), I2(2), I2(4)).  Any other root, such as a
+hand-built direction (1, 2), raises ``ValueError`` naming it.  Reflections
+act on exponents and signs, and the divided difference
+(p - p o sigma_alpha)/<v, x> is built term by term in closed form: x^e maps
+to 2 x^(e - e_i) (e_i odd), to a geometric sum in x_i, x_j, or to that sum
+with the signs of x_j -> -x_j (see ``divided_difference``).  A
+floating-point value anywhere in here is a bug.
 
 The difference term of a Dunkl operator,
 k_alpha * alpha_i * (p - p o sigma_alpha)/<alpha, x>, is computed with the
@@ -25,12 +24,11 @@ root's rational direction v (alpha = c v):  alpha_i/<alpha, x> = v_i/<v, x>,
 so the sqrt(2) scale cancels and every operator output stays rational.
 T_i p and the Dunkl Laplacian each read their derivatives off p's terms and
 sum every contribution in one integer dict over a common denominator.  The
-Laplacian's term of a signed-permutation root,
+Laplacian's term of a root,
 k_alpha (2 <grad p, w> - |w|^2 (p - p o sigma_alpha)/<w, x>)/<w, x> for the
 integer direction w, is built per monomial in closed form as well:
 x^e maps to 2 (e_i - [e_i odd]) x^(e - 2 e_i) for w = e_i, and to a weighted
-sum in x_i, x_j for w = e_i -+ e_j (see ``dunkl_laplacian_fast``); any other
-rational root takes its divided difference and divides by the linear form.
+sum in x_i, x_j for w = e_i -+ e_j (see ``dunkl_laplacian_fast``).
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from operator import add
 
 import numpy as np
 
-from .reflection import Root, RootSystem, reflection_matrix
+from .reflection import Root, RootSystem
 
 __all__ = [
     "Polynomial",
@@ -176,6 +174,10 @@ class Polynomial:
         """self + sign * other over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = constant(self.nvars, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
+        elif other.nvars != self.nvars:
+            raise ValueError("nvars mismatch")
         a, b = self._den, other._den
         if a == b:
             den, t, scale = a, dict(self._num), sign
@@ -209,6 +211,8 @@ class Polynomial:
             return _canonical(self.nvars,
                               {e: c * a for e, c in self._num.items()},
                               self._den * other.denominator)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if other.nvars != self.nvars:
             raise ValueError("nvars mismatch")
         t: dict = {}
@@ -239,41 +243,9 @@ class Polynomial:
         return result
 
     def partial(self, i: int) -> "Polynomial":
-        t: dict = {}
-        for e, c in self._num.items():
-            m = e[i]
-            if m:
-                t[e[:i] + (m - 1,) + e[i + 1 :]] = c * m
-        return _canonical(self.nvars, t, self._den)
+        return _canonical(self.nvars, _partial(self._num, i), self._den)
 
-    # -- substitution and evaluation ---------------------------------------
-
-    def compose_linear(self, matrix) -> "Polynomial":
-        """p(Mx): substitute x_i -> sum_j M[i][j] x_j (exact rational M)."""
-        n = self.nvars
-        rows = [
-            Polynomial(n, {tuple(1 if l == j else 0 for l in range(n)): _frac(matrix[i][j])
-                           for j in range(n) if matrix[i][j] != 0})
-            for i in range(n)
-        ]
-        pow_cache: dict = {}
-
-        def lin_pow(i, m):
-            key = (i, m)
-            if key not in pow_cache:
-                pow_cache[key] = (
-                    constant(n, 1) if m == 0 else lin_pow(i, m - 1) * rows[i]
-                )
-            return pow_cache[key]
-
-        out = Polynomial(n)
-        for e, c in self.terms.items():
-            term = constant(n, c)
-            for i, m in enumerate(e):
-                if m:
-                    term = term * lin_pow(i, m)
-            out = out + term
-        return out
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, points) -> np.ndarray:
         """Float evaluation at a batch of points (M, N) (or a single (N,))."""
@@ -302,6 +274,17 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
+def _partial(num: dict, i: int) -> dict:
+    """Numerators of d_i p, read off the numerators of p (over p's
+    denominator)."""
+    t: dict = {}
+    for e, c in num.items():
+        m = e[i]
+        if m:
+            t[e[:i] + (m - 1,) + e[i + 1 :]] = c * m
+    return t
+
+
 def variable(i: int, nvars: int) -> Polynomial:
     return Polynomial(nvars, {tuple(1 if j == i else 0 for j in range(nvars)): 1})
 
@@ -326,51 +309,46 @@ def _divide_by_linear(p: Polynomial, root: Root) -> Polynomial:
     ExactDivisionError on a remainder.
 
     Synthetic division of the integer numerators by <w, x> = s <v, x>
-    (``Root.integer_direction``), pivoting on the first x_j with w_j != 0:
-    from the highest power of x_j down, each term c x^e gives the quotient
-    term q = c / w_j at e - e_j, and q w_i is subtracted at e - e_j + e_i
-    for every other i with w_i != 0, one power of x_j lower.  Whatever is
-    left free of x_j is the remainder.  The numerators are first multiplied
-    by w_j^deg (deg the top power of x_j), so that the coefficients at power
-    d are multiples of w_j^d and every step divides exactly; every built-in
-    direction has w_j = 1.
+    (``Root.integer_direction``), pivoting on x_j, j the first of the root's
+    signed axes, where w_j = 1: from the highest power of x_j down, each term
+    c x^e gives the quotient term c at e - e_j, and c w_i is subtracted at
+    e - e_j + e_i for the other axis i (if any), one power of x_j lower.
+    Whatever is left free of x_j is the remainder.
     """
+    (j, *others), _ = _signed_axes(root)
     w, s = root.integer_direction
-    j = next(i for i, c in enumerate(w) if c)
-    wj = w[j]
     top = max((e[j] for e in p._num), default=0)
-    lift = wj**top
     levels: dict[int, dict] = {}  # power of x_j -> {exponent: numerator}
     for e, c in p._num.items():
-        levels.setdefault(e[j], {})[e] = c * lift
+        levels.setdefault(e[j], {})[e] = c
     quotient: dict = {}
     for d in range(top, 0, -1):
         level = {
-            e[:j] + (d - 1,) + e[j + 1 :]: c // wj
+            e[:j] + (d - 1,) + e[j + 1 :]: c
             for e, c in levels.pop(d, {}).items()
             if c
         }
         quotient.update(level)
         below = levels.setdefault(d - 1, {})
-        for i, wi in enumerate(w):
-            if i == j or not wi:
-                continue
+        for i in others:
             for e, q in level.items():
                 f = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                below[f] = below.get(f, 0) - wi * q
+                below[f] = below.get(f, 0) - w[i] * q
     if any(levels.get(0, {}).values()):
         raise ExactDivisionError("polynomial is not divisible by the linear form")
     a = s.numerator
     if a != 1:
         quotient = {e: c * a for e, c in quotient.items()}
-    return _canonical(p.nvars, quotient, p._den * lift * s.denominator)
+    return _canonical(p.nvars, quotient, p._den * s.denominator)
 
 
 # ---------------------------------------------------------------------------
 # Dunkl operators
 
 
-def _require_exact(rs: RootSystem):
+def _require_exact(rs: RootSystem, *polys: Polynomial):
+    """Raise ValueError unless rs has rational roots and multiplicities and
+    each of polys is a polynomial on its space R^N."""
     if not rs.exact:
         raise ValueError(
             "symbolic Dunkl calculus needs rational root data "
@@ -379,25 +357,39 @@ def _require_exact(rs: RootSystem):
     for k in rs.multiplicities:
         if not isinstance(k, (Fraction, int)):
             raise ValueError("symbolic Dunkl calculus needs rational multiplicities")
+    for p in polys:
+        if p.nvars != rs.dimension:
+            raise ValueError(
+                f"polynomial in {p.nvars} variables, but {rs.family}({rs.rank}) "
+                f"acts on R^{rs.dimension}")
+
+
+def _signed_axes(root: Root) -> tuple:
+    """``root.signed_axes``, or ValueError naming a root the exact calculus
+    does not support."""
+    axes = root.signed_axes
+    if axes is None:
+        raise ValueError(
+            "symbolic Dunkl calculus needs a multiple of e_i, e_i - e_j or "
+            f"e_i + e_j, whose reflection is a signed permutation; got {root!r}")
+    return axes
 
 
 def reflect_poly(p: Polynomial, root: Root) -> Polynomial:
-    """p o sigma_alpha, exactly.
-
-    When sigma_alpha is a signed permutation each term maps in O(N): its
-    exponents are permuted and its coefficient changes sign when the
-    flipped axes carry an odd total power.  No built-in family has any other
-    root; a hand-built rational one (e.g. direction (1, 2)) falls back to
-    ``compose_linear`` with the exact reflection matrix.
-    """
-    data = root.signed_permutation
-    if data is None:
-        return p.compose_linear(reflection_matrix(root, exact=True))
-    perm, flipped = data
-    terms = {}
-    for e, c in p._num.items():
-        odd = sum([e[i] for i in flipped]) & 1
-        terms[tuple([e[i] for i in perm])] = -c if odd else c
+    """p o sigma_alpha, exactly, each term mapped in O(N): e_i negates the
+    terms odd in x_i, e_i - e_j swaps the exponents of x_i and x_j, and
+    e_i + e_j swaps them and negates the terms odd in x_i x_j."""
+    axes, plus = _signed_axes(root)
+    if len(axes) == 1:
+        (i,) = axes
+        terms = {e: -c if e[i] & 1 else c for e, c in p._num.items()}
+    else:
+        i, j = axes
+        terms = {}
+        for e, c in p._num.items():
+            a, b = e[i], e[j]
+            f = e[:i] + (b,) + e[i + 1 : j] + (a,) + e[j + 1 :]
+            terms[f] = -c if plus and (a + b) & 1 else c
     return _wrap(p.nvars, terms, p._den)
 
 
@@ -460,9 +452,9 @@ def divided_difference(p: Polynomial, root: Root) -> Polynomial:
     """Exact q with <v, x> q = p - p o sigma_alpha, v the rational direction.
 
     With v = w / s (``Root.integer_direction``), q = s (p - p o sigma)/<w, x>.
-    When sigma_alpha is a signed permutation (every built-in exact root),
-    w is e_i, e_i - e_j or e_i + e_j (i < j) and q is built term by term in
-    closed form, with no reflection, subtraction or division:
+    The integer direction w is e_i, e_i - e_j or e_i + e_j (i < j; any other
+    root raises ValueError) and q is built term by term in closed form, with
+    no reflection, subtraction or division:
     - w = e_i: x^e gives 2 x^(e - e_i) if e_i is odd, 0 otherwise;
     - w = e_i - e_j, with a = e_i, b = e_j, m = min(a, b), d = |a - b|:
       x^e gives sgn(a - b) sum_(t<d) x_i^(m+t) x_j^(m+d-1-t), the other
@@ -470,18 +462,11 @@ def divided_difference(p: Polynomial, root: Root) -> Polynomial:
     - w = e_i + e_j: with y = -x_j, x^e = (-1)^b x_i^a y^b and <w, x> =
       x_i - y, so x^e gives (-1)^b times the e_i - e_j formula in (x_i, y),
       each y^u read back as (-1)^u x_j^u.
-    Any other root (e.g. direction (1, 2)) reflects p, subtracts and
-    divides synthetically (``_divide_by_linear``).
 
     The quotient against <alpha, x> itself is q / c with c = sqrt(2/|v|^2);
     the scale cancels inside Dunkl operators and is left to the caller.
     """
-    if root.signed_axes is None:
-        diff = p - reflect_poly(p, root)
-        if diff.is_zero():
-            return Polynomial(p.nvars)
-        return _divide_by_linear(diff, root)
-    axes, plus = root.signed_axes
+    axes, plus = _signed_axes(root)
     t: dict = {}
     if len(axes) == 1:
         (i,) = axes
@@ -510,26 +495,13 @@ def _add_scaled(parts) -> tuple:
     return {e: x for e, x in acc.items() if x}, den
 
 
-def _grad_dot(num: dict, axes) -> dict:
-    """Numerators of sum_i w_i d_i p over the (i, w_i) of axes, read off the
-    numerators of p (over p's denominator)."""
-    out: dict = {}
-    for e, c in num.items():
-        for i, wi in axes:
-            m = e[i]
-            if m:
-                f = e[:i] + (m - 1,) + e[i + 1 :]
-                out[f] = out.get(f, 0) + c * m * wi
-    return out
-
-
 def _dunkl_terms(rs: RootSystem, p: Polynomial, coords) -> list:
     """[T_i p for i in coords], with one divided difference per active root
     that touches coords:
     T_i p = d_i p + sum_alpha k_alpha alpha_i (p - p o sigma_alpha)/<alpha,x>,
     each T_i p summed in one integer dict."""
-    _require_exact(rs)
-    parts = [[(_grad_dot(p._num, ((i, 1),)), p._den, 1)] for i in coords]
+    _require_exact(rs, p)
+    parts = [[(_partial(p._num, i), p._den, 1)] for i in coords]
     for root, k in rs.active_roots():
         w = root.integer_direction[0]
         touched = [(slot, root.direction[i])
@@ -554,10 +526,9 @@ def dunkl_gradient_sym(rs: RootSystem, p: Polynomial) -> list:
 
 def _add_laplacian_root(acc: dict, num: dict, root: Root, scale: int) -> None:
     """Add scale * (2 <grad p, w> - |w|^2 D_w p)/<w, x> to acc, p the
-    numerators num and D_w p = (p - p o sigma)/<w, x>, for a
-    signed-permutation root with integer direction w (see
-    ``dunkl_laplacian_fast`` for the closed forms)."""
-    axes, plus = root.signed_axes
+    numerators num and D_w p = (p - p o sigma)/<w, x>, for the root with
+    integer direction w (see ``dunkl_laplacian_fast`` for the closed forms)."""
+    axes, plus = _signed_axes(root)
     if len(axes) == 2:
         _add_pair_terms(acc, num, axes, plus, _laplacian_pair, False, 2 * scale)
         return
@@ -576,10 +547,10 @@ def dunkl_laplacian_fast(rs: RootSystem, p: Polynomial) -> Polynomial:
 
     With v = w / s (``Root.integer_direction``) the scale s cancels: root
     alpha adds k_alpha (2 <grad p, w> - |w|^2 D_w p)/<w, x>, with
-    D_w p = (p - p o sigma_alpha)/<w, x>.  When sigma_alpha is a signed
-    permutation, w is e_i, e_i - e_j or e_i + e_j (i < j) and that term is
-    built per monomial in closed form, with no divided difference or
-    division; with a = e_i and b = e_j, x^e gives
+    D_w p = (p - p o sigma_alpha)/<w, x>.  As w is e_i, e_i - e_j or
+    e_i + e_j (i < j; any other root raises ValueError), that term is built
+    per monomial in closed form, with no divided difference or division;
+    with a = e_i and b = e_j, x^e gives
     - w = e_i: 2 (a - [a odd]) x^(e - 2 e_i);
     - w = e_i - e_j, with m = min(a, b), d = |a - b|:
       2 sum_(t<d-1) (t+1) x_i^(m+t) x_j^(m+d-2-t) - 2m x_i^(m+d-1) x_j^(m-1),
@@ -590,10 +561,8 @@ def dunkl_laplacian_fast(rs: RootSystem, p: Polynomial) -> Polynomial:
       (x_i, y), each y^u read back as (-1)^u x_j^u.
     The swap, sign and read-back rules of e_i -+ e_j are the ones
     ``divided_difference`` uses, applied by the same ``_pair_image``.
-    Any other root (e.g. direction (1, 2)) takes its divided difference and
-    divides 2 <grad p, v> - |v|^2 q by <v, x> synthetically.
     """
-    _require_exact(rs)
+    _require_exact(rs, p)
     n = rs.dimension
     active = rs.active_roots()
     scale = lcm(*(k.denominator for _, k in active))
@@ -603,24 +572,8 @@ def dunkl_laplacian_fast(rs: RootSystem, p: Polynomial) -> Polynomial:
             if m > 1:
                 f = e[:i] + (m - 2,) + e[i + 1 :]
                 lap[f] = lap.get(f, 0) + c * scale * m * (m - 1)
-    parts = []
     for root, k in active:
-        if root.signed_axes is not None:
-            _add_laplacian_root(lap, p._num, root, k.numerator * (scale // k.denominator))
-            continue
-        w, s = root.integer_direction
-        q = divided_difference(p, root)
-        # 2 <grad p, alpha>/<alpha,x> - 2 (p - p o sigma)/<alpha,x>^2
-        #   = [2 <grad p, v> - |v|^2 q] / <v, x>, with v = w / s
-        grad_dot_w = _grad_dot(p._num, [(i, wi) for i, wi in enumerate(w) if wi])
-        num, den = _add_scaled([(grad_dot_w, p._den, 2 / s),
-                                (q._num, q._den, -root.norm2_direction)])
-        # _divide_by_linear reads num and den only and returns a canonical
-        # quotient, so num/den need no gcd here
-        quotient = _divide_by_linear(_wrap(n, num, den), root)
-        parts.append((quotient._num, quotient._den, k))
-    if parts:
-        return _canonical(n, *_add_scaled([(lap, p._den * scale, 1)] + parts))
+        _add_laplacian_root(lap, p._num, root, k.numerator * (scale // k.denominator))
     return _canonical(n, {f: c for f, c in lap.items() if c}, p._den * scale)
 
 
@@ -657,6 +610,7 @@ def sphere_mean(rs: RootSystem):
         return m
 
     def mean(p: Polynomial) -> Fraction:
+        _require_exact(rs, p)
         return sum([c * monomial(e) for e, c in p._num.items()], Fraction(0)) / p._den
 
     return mean

@@ -1,14 +1,14 @@
 """Root systems, finite reflection groups, and the reflection-invariant weight.
 
-Roots are normalized so that |alpha|^2 = 2.  Each root is stored as a rational
+Roots are normalized so that |alpha|^2 = 2.  Each root is stored as a
 direction vector v together with the implied scale c = sqrt(2/|v|^2), so that
-alpha = c*v.  All reflection matrices I - c^2 v v^T are then exact rational
-matrices whenever v is rational, which is what the exact polynomial calculus
-in :mod:`dunkl_lab.polyalg` relies on.  Float code reads each root's geometry
-(|v|^2, c^2, v and alpha), built once when the root is constructed, and forms
-sigma_alpha x only through :func:`reflect`.  The exact calculus reads the
-root's integer direction and, when sigma_alpha is one, its signed
-permutation, each built on first use and kept on the root.
+alpha = c*v.  Float code reads each root's geometry (c^2, v and alpha), built
+once when the root is constructed, and forms sigma_alpha x only through
+:func:`reflect`.  The exact calculus in :mod:`dunkl_lab.polyalg` reads the
+root's integer direction and its signed axes (``Root.signed_axes``), each
+built on first use and kept on the root: every exact root of the built-in
+families is a multiple of e_i, e_i - e_j or e_i + e_j, whose reflection is a
+signed permutation, and the exact calculus supports no other root.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, inf, lcm, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Root",
     "RootSystem",
-    "SignedPermutation",
     "SingularPointError",
     "build_root_system",
     "embed_root_system",
@@ -43,18 +41,6 @@ _MAX_GROUP_ORDER = 20000  # closure guard against an invalid root system
 
 class SingularPointError(ValueError):
     """Raised when an operation is evaluated on a reflection hyperplane."""
-
-
-class SignedPermutation(NamedTuple):
-    """sigma_alpha x = (s_0 x_pi(0), ..., s_(N-1) x_pi(N-1)), s_i = +-1.
-
-    x^e o sigma_alpha = (prod of s_i^(e_i)) x^f with f_pi(i) = e_i; ``perm``
-    lists pi^-1, so f = (e_perm[0], ..., e_perm[N-1]), and ``flipped`` lists
-    the i with s_i = -1.
-    """
-
-    perm: tuple
-    flipped: tuple
 
 
 def _as_fraction(x):
@@ -80,36 +66,27 @@ class Root:
 
     direction: tuple
     exact: bool = True
-    # derived once in __post_init__ and left out of equality and hash:
-    # |v|^2 and c^2 (exact for exact roots), c^2 as a float, and v and alpha
-    # as read-only float arrays
-    _norm2: object = field(init=False, repr=False, compare=False)
-    _c2: object = field(init=False, repr=False, compare=False)
+    # derived once in __post_init__ and left out of equality and hash: c^2
+    # as a float, and v and alpha as read-only float arrays
     _fc2: float = field(init=False, repr=False, compare=False)
     _v: np.ndarray = field(init=False, repr=False, compare=False)
     _alpha: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n2 = sum(x * x for x in self.direction)
-        c2 = Fraction(2) / n2 if self.exact else 2.0 / n2  # c^2 |v|^2 = 2
+        if not n2:
+            raise ValueError(f"root direction {self!r} is zero")
+        # c^2 |v|^2 = 2, rounded once from the exact value
+        c2 = float(Fraction(2) / n2 if self.exact else 2.0 / n2)
         v = np.array([float(x) for x in self.direction])
-        alpha = sqrt(float(c2)) * v
+        alpha = sqrt(c2) * v
         v.flags.writeable = alpha.flags.writeable = False
-        for name, value in (("_norm2", n2), ("_c2", c2), ("_fc2", float(c2)),
-                            ("_v", v), ("_alpha", alpha)):
+        for name, value in (("_fc2", c2), ("_v", v), ("_alpha", alpha)):
             object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return len(self.direction)
-
-    @property
-    def norm2_direction(self):
-        return self._norm2
-
-    @property
-    def c2(self):
-        return self._c2
 
     @property
     def vector(self) -> np.ndarray:
@@ -135,9 +112,11 @@ class Root:
     @cached_property
     def signed_axes(self) -> tuple | None:
         """(axes, plus) when sigma_alpha is a signed permutation, read off the
-        integer direction w: ((i,), False) for w = e_i and ((i, j), w_j > 0)
-        for w = e_i -+ e_j, i < j.  None for any other w (e.g. (1, 2)) and
-        for a float root; every built-in exact root has one."""
+        integer direction w: ((i,), False) for w = e_i, whose reflection
+        negates x_i, and ((i, j), w_j > 0) for w = e_i -+ e_j, i < j, whose
+        reflection swaps x_i and x_j (and negates both for e_i + e_j).  None
+        for any other w (e.g. (1, 2)) and for a float root; every built-in
+        exact root has one."""
         if not self.exact:
             return None
         w, _ = self.integer_direction
@@ -145,21 +124,6 @@ class Root:
         if len(axes) > 2 or any(abs(w[i]) != 1 for i in axes):
             return None
         return axes, len(axes) == 2 and w[axes[1]] > 0
-
-    @cached_property
-    def signed_permutation(self) -> SignedPermutation | None:
-        """sigma_alpha as a SignedPermutation (see ``signed_axes``): e_i flips
-        x_i, e_i - e_j swaps x_i and x_j, and e_i + e_j swaps and flips
-        both.  None when ``signed_axes`` is None."""
-        if self.signed_axes is None:
-            return None
-        axes, plus = self.signed_axes
-        perm = list(range(self.dim))
-        if len(axes) == 1:
-            return SignedPermutation(tuple(perm), axes)
-        i, j = axes
-        perm[i], perm[j] = j, i
-        return SignedPermutation(tuple(perm), axes if plus else ())
 
     def __repr__(self):
         return f"Root({tuple(str(x) for x in self.direction)})"
@@ -288,41 +252,23 @@ def embed_root_system(rs: RootSystem, dimension: int) -> RootSystem:
 def reflect(root: Root, x):
     """sigma_alpha x = x - <alpha,x> alpha (using |alpha|^2 = 2).
 
-    Accepts a single point (N,) or a batch (M, N); float output.  For exact
-    rational input use :func:`reflection_matrix` directly.
+    Accepts a single point (N,) or a batch (M, N); float output.
     """
     x = np.asarray(x, dtype=float)
     v = root._v
     return x - root._fc2 * np.multiply.outer(x @ v, v)
 
 
-def reflection_matrix(root: Root, exact: bool):
-    """Matrix of sigma_alpha = I - c^2 v v^T.
-
-    With ``exact=True`` returns a tuple-of-tuples of Fractions, otherwise a
-    float ndarray.
-    """
-    n = root.dim
-    if exact:
-        if not root.exact:
-            raise ValueError("root has irrational coordinates")
-        c2 = root.c2
-        v = root.direction
-        return tuple(
-            tuple(
-                (Fraction(1) if i == j else Fraction(0)) - c2 * v[i] * v[j]
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-    return np.eye(n) - root._fc2 * np.outer(root._v, root._v)
+def reflection_matrix(root: Root) -> np.ndarray:
+    """Float matrix of sigma_alpha = I - c^2 v v^T."""
+    return np.eye(root.dim) - root._fc2 * np.outer(root._v, root._v)
 
 
 def generate_group(rs: RootSystem) -> tuple:
     """The group elements as float (N, N) matrices: the breadth-first
     closure of the generating reflections under matrix multiplication; two
     products are the same element when their entries agree to 9 decimals."""
-    gens = [reflection_matrix(r, exact=False) for r in rs.positive_roots]
+    gens = [reflection_matrix(r) for r in rs.positive_roots]
     ident = np.eye(rs.dimension)
 
     def key(m):

@@ -89,6 +89,6 @@ def dunkl_laplacian(rs, p):
         q = divided_difference(p, root)
         # 2 <grad p, alpha>/<alpha,x> - 2 (p - p o sigma)/<alpha,x>^2
         #   = [2 <grad p, v> - |v|^2 q] / <v, x>
-        num = grad_dot_v * 2 - q * root.norm2_direction
+        num = grad_dot_v * 2 - q * sum(x * x for x in v)
         out = out + _divide_by_linear(num, root) * k
     return out

@@ -268,9 +268,8 @@ def test_criterion_9_geometry():
         rs = build_root_system(family, rank, 1)
         assert len(generate_group(rs)) == order
         for root in rs.positive_roots:
-            assert np.linalg.det(
-                reflection_matrix(root, exact=False)
-            ) == pytest.approx(-1.0, abs=1e-12)
+            assert np.linalg.det(reflection_matrix(root)) == pytest.approx(
+                -1.0, abs=1e-12)
     rs = build_root_system("A", 2, 1)
     rng = np.random.default_rng(5)
     X = rng.normal(size=(50, 3)) + np.array([0.2, 1.1, 2.3])

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import add, mul, sub
 
 import numpy as np
 import pytest
@@ -26,27 +27,30 @@ from dunkl_lab.polyalg import (
     sphere_mean,
     variable,
 )
-from dunkl_lab.reflection import (
-    Root,
-    RootSystem,
-    build_root_system,
-    reflection_matrix,
-)
+from dunkl_lab.reflection import Root, RootSystem, build_root_system
 
-# every positive root of the built-in exact families (signed permutations)
-# and four rational roots whose reflections are not signed permutations; the
-# last two scale to integer directions (2, 1) and (3, 2), whose pivots are
-# not +-1
+# every positive root of the built-in exact families: e_i, e_i - e_j and
+# e_i + e_j, whose reflections are signed permutations
 SIGNED_ROOTS = [
     root
     for family, rank in (("A", 3), ("B", 3), ("Z2", 3), ("I2", 4))
     for root in build_root_system(family, rank, 1).positive_roots
 ]
-PIVOT_ROOTS = [Root((Fraction(2), Fraction(1))),
-               Root((Fraction(1, 2), Fraction(1, 3)))]
-CUSTOM_ROOTS = [Root((Fraction(1), Fraction(2))), Root((Fraction(1),) * 3),
-                *PIVOT_ROOTS]
-ALL_ROOTS = SIGNED_ROOTS + CUSTOM_ROOTS
+# a scaled axis root (s = 1/2) and scaled swap roots (s = 2, s = -1/3)
+SCALED_ROOTS = [Root((Fraction(2), Fraction(0), Fraction(0))),
+                Root((Fraction(1, 2), Fraction(-1, 2))),
+                Root((Fraction(-3), Fraction(-3)))]
+ALL_ROOTS = SIGNED_ROOTS + SCALED_ROOTS
+# a rational root whose reflection is no signed permutation
+UNSUPPORTED_ROOT = Root((Fraction(1), Fraction(2)))
+
+
+def _reflection_matrix(root):
+    """sigma_alpha = I - c^2 v v^T as exact Fractions, c^2 = 2/|v|^2."""
+    v = root.direction
+    c2 = Fraction(2) / sum(x * x for x in v)
+    return [[int(i == j) - c2 * v[i] * v[j] for j in range(len(v))]
+            for i in range(len(v))]
 
 
 def _linear_form(root, N):
@@ -102,6 +106,26 @@ def test_polynomial_rejects_bad_exponents(exponent):
     for coefficient in (1, 0):
         with pytest.raises(ValueError, match=re.escape(repr(exponent))):
             Polynomial(2, {exponent: coefficient})
+
+
+def test_arithmetic_needs_equal_nvars():
+    # a sum across different nvars would hold exponents of the wrong length
+    p, q = Polynomial(2, {(1, 0): 1}), Polynomial(3, {(0, 0, 1): 1})
+    for a, b in ((p, q), (q, p)):
+        for op in (add, sub, mul):
+            with pytest.raises(ValueError, match="nvars mismatch"):
+                op(a, b)
+
+
+@pytest.mark.parametrize("op", [
+    lambda p: p + 0.5, lambda p: p - 0.5, lambda p: p * 0.5,
+    lambda p: 0.5 * p, lambda p: 0.5 + p,
+], ids=["p+0.5", "p-0.5", "p*0.5", "0.5*p", "0.5+p"])
+def test_float_operand_is_a_type_error(op):
+    # coefficients are rational: a float operand is refused by Python's
+    # operator protocol, not read as a polynomial
+    with pytest.raises(TypeError):
+        op(variable(0, 2))
 
 
 def test_divided_difference_exactness(rs_b2, rng):
@@ -217,12 +241,14 @@ def test_dunkl_lowers_degree(rs_a2):
 
 @pytest.mark.parametrize("root", ALL_ROOTS, ids=repr)
 def test_reflect_poly_matches_linear_substitution(root, rng):
-    signed = root.signed_permutation is not None
-    assert signed == (root not in CUSTOM_ROOTS)
-    matrix = reflection_matrix(root, exact=True)
-    for _ in range(3):
-        p = _random_poly(rng, root.dim, 4)
-        assert reflect_poly(p, root) == p.compose_linear(matrix)
+    # p(sigma_alpha x), sigma_alpha = I - c^2 v v^T multiplied out term by
+    # term; a root and its negation reflect alike
+    for alpha in (root, root.negate()):
+        matrix = _reflection_matrix(alpha)
+        for _ in range(3):
+            p = _random_poly(rng, root.dim, 4)
+            want = _o_substitute(dict(p.terms), matrix)
+            assert reflect_poly(p, alpha).terms == want
 
 
 _exponent = st.integers(0, 3)
@@ -240,13 +266,43 @@ def test_divide_by_linear_round_trip(root, data):
     assert _divide_by_linear(_linear_form(root, N) * q, root) == q
 
 
-@pytest.mark.parametrize("root", CUSTOM_ROOTS, ids=repr)
-def test_divided_difference_on_custom_roots(root, rng):
-    for _ in range(3):
-        p = _random_poly(rng, root.dim, 4)
-        q = divided_difference(p, root)
-        assert (_linear_form(root, root.dim) * q
-                - (p - reflect_poly(p, root))).is_zero()
+def _rank_one(root, k):
+    return RootSystem(family="custom", rank=1, dimension=root.dim,
+                      positive_roots=(root,), multiplicities=(k,))
+
+
+_X, _Y = variable(0, 2), variable(1, 2)
+_P = _X**2 * _Y + _Y**2
+_UNSUPPORTED = _rank_one(UNSUPPORTED_ROOT, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reflect_poly(_P, UNSUPPORTED_ROOT),
+    lambda: divided_difference(_P, UNSUPPORTED_ROOT),
+    lambda: dunkl_apply(_UNSUPPORTED, 0, _P),
+    lambda: dunkl_laplacian_fast(_UNSUPPORTED, _P),
+    lambda: sphere_mean(_UNSUPPORTED)(_X * _X),
+    lambda: identity_checks(_UNSUPPORTED, [_P, _X]),
+], ids=["reflect_poly", "divided_difference", "dunkl_apply",
+        "dunkl_laplacian_fast", "sphere_mean", "identity_checks"])
+def test_unsupported_root_raises_value_error(call):
+    # the exact calculus serves signed-permutation roots only; the error
+    # names the root, and the CLI reports a ValueError as a usage error
+    with pytest.raises(ValueError, match=re.escape(repr(UNSUPPORTED_ROOT))):
+        call()
+
+
+@pytest.mark.parametrize("nvars", [2, 4])
+def test_kernels_check_the_polynomial_dimension(rs_a2, nvars):
+    # A2 acts on R^3: a polynomial in any other number of variables is a
+    # usage error, not an IndexError or a silent value
+    p = norm_squared(nvars) * variable(0, nvars)
+    for call in (lambda: dunkl_apply(rs_a2, 0, p),
+                 lambda: dunkl_gradient_sym(rs_a2, p),
+                 lambda: dunkl_laplacian_fast(rs_a2, p),
+                 lambda: sphere_mean(rs_a2)(p)):
+        with pytest.raises(ValueError, match=f"{nvars} variables"):
+            call()
 
 
 @pytest.mark.parametrize("rs", [
@@ -254,11 +310,7 @@ def test_divided_difference_on_custom_roots(root, rng):
     build_root_system("B", 3, [Fraction(1, 2), 1]),
     build_root_system("Z2", 3, [1, Fraction(1, 3), 2]),
     build_root_system("I2", 4, [1, Fraction(1, 2)]),
-    # the hand-built root (1, 2) reflects by compose_linear
-    RootSystem(family="custom", rank=1, dimension=2,
-               positive_roots=(CUSTOM_ROOTS[0],),
-               multiplicities=(Fraction(1, 2),)),
-], ids=["A3", "B3", "Z2^3", "I2(4)", "json(1,2)"])
+], ids=["A3", "B3", "Z2^3", "I2(4)"])
 def test_gradient_matches_dunkl_apply(rs, rng):
     for degree in (1, 3, 4):
         p = _random_poly(rng, rs.dimension, degree)
@@ -266,29 +318,19 @@ def test_gradient_matches_dunkl_apply(rs, rng):
         assert grad == [dunkl_apply(rs, i, p) for i in range(rs.dimension)]
 
 
-def _rank_one(root, k):
-    return RootSystem(family="custom", rank=1, dimension=root.dim,
-                      positive_roots=(root,), multiplicities=(k,))
-
-
 # -- the closed-form kernels against reflect-subtract-divide oracles -----------
 
 ORACLE_FAMILIES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("Z2", 5),
                    ("I2", 1), ("I2", 2), ("I2", 4)]
-# a scaled axis root (s = 1/2), scaled swap roots (s = 2, s = -1/3) and the
-# fallback root (1, 2), which is no signed permutation
-SCALED_ROOTS = [Root((Fraction(2), Fraction(0), Fraction(0))),
-                Root((Fraction(1, 2), Fraction(-1, 2))),
-                Root((Fraction(-3), Fraction(-3)))]
 # (name, roots of one dimension): each family's positive roots and their
-# negations, then the scaled and fallback roots
+# negations, then the scaled roots
 DIVIDED_DIFFERENCE_ROOTS = [
     (f"{family}({rank})",
      [r for root in build_root_system(family, rank, 1).positive_roots
       for r in (root, root.negate())])
     for family, rank in ORACLE_FAMILIES
 ] + [("scaled-axis", SCALED_ROOTS[:1]),
-     ("scaled-swap-and-fallback", SCALED_ROOTS[1:] + CUSTOM_ROOTS[:1])]
+     ("scaled-swap", SCALED_ROOTS[1:])]
 
 
 def _rational_polys(N):
@@ -306,7 +348,6 @@ def _rational_polys(N):
 def test_divided_difference_matches_reflect_subtract_divide(roots, data):
     p = data.draw(_rational_polys(roots[0].dim))
     for root in roots:
-        assert (root.signed_permutation is None) == (root == CUSTOM_ROOTS[0])
         q = divided_difference(p, root)
         _assert_canonical(q)
         assert q == oracles.divided_difference(p, root)
@@ -318,13 +359,13 @@ KERNEL_SYSTEMS = [
     for k in (Fraction(2, 3), 0)
 ] + [
     (f"{root!r}/k=5/4", _rank_one(root, Fraction(5, 4)))
-    for root in SCALED_ROOTS + [CUSTOM_ROOTS[0]]
+    for root in SCALED_ROOTS
 ] + [
-    # a closed-form axis root and the fallback root (1, 2) in one sum
-    ("mixed(e1, (1, 2))",
-     RootSystem(family="custom", rank=2, dimension=2,
-                positive_roots=(Root((Fraction(1), Fraction(0))), CUSTOM_ROOTS[0]),
-                multiplicities=(Fraction(1, 2), Fraction(1, 3)))),
+    # an axis root and two swap roots of scales s = 1/2, 2 and -1/3 in one sum
+    ("mixed(2 e2, scaled swaps)",
+     RootSystem(family="custom", rank=3, dimension=2,
+                positive_roots=(Root((Fraction(0), Fraction(2))), *SCALED_ROOTS[1:]),
+                multiplicities=(Fraction(1, 2), Fraction(1, 3), Fraction(5, 4)))),
 ]
 
 
@@ -361,28 +402,6 @@ def test_laplacian_closed_forms_match_the_oracle_on_every_monomial():
                 if dunkl_laplacian_fast(rs, p) != oracles.dunkl_laplacian(rs, p):
                     wrong.append((family, rank, e))
     assert checked == 658 and wrong == []
-
-
-@pytest.mark.parametrize("root", PIVOT_ROOTS, ids=repr)
-def test_non_unit_pivot_identities_hold(root, rng):
-    assert root.integer_direction[0][0] not in (1, -1)
-    rs = _rank_one(root, Fraction(1, 3))
-    polys = [_random_poly(rng, 2, degree) for degree in (2, 3, 4, 3)]
-    entries = identity_checks(rs, polys)
-    assert len(entries) == 6 * len(polys)
-    assert [name for name, ok, _ in entries if not ok] == []
-
-
-@pytest.mark.parametrize("root", PIVOT_ROOTS, ids=repr)
-def test_non_unit_pivot_remainder_raises(root):
-    x, y = variable(0, 2), variable(1, 2)
-    # no term is free of the pivot variable, so only the division steps
-    # themselves can leave the remainder
-    for p in (x, x**2 * Fraction(1, 7), _linear_form(root, 2) * y**2 + x * y):
-        with pytest.raises(ExactDivisionError):
-            _divide_by_linear(p, root)
-    with pytest.raises(ExactDivisionError):
-        _divide_by_linear(x * y + constant(2, Fraction(1, 5)), root)
 
 
 # -- the integer arithmetic against a dict-of-Fraction oracle ----------------
@@ -468,7 +487,7 @@ def test_integer_arithmetic_matches_fraction_oracle(data):
     roots = [r for r in ALL_ROOTS if r.dim == N]
     roots += build_root_system("B", N, 1).positive_roots
     root = data.draw(st.sampled_from(roots))
-    reflected = _o_substitute(a, reflection_matrix(root, exact=True))
+    reflected = _o_substitute(a, _reflection_matrix(root))
     got = reflect_poly(p, root)
     _assert_canonical(got)
     assert got.terms == reflected

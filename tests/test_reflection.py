@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunkl_lab.reflection import (
+    Root,
     SingularPointError,
     build_root_system,
     generate_group,
@@ -50,13 +51,12 @@ def _golden_record(family, rank, k):
     for root in rs.positive_roots:
         record = {"direction": [str(x) for x in root.direction],
                   "exact": root.exact, "integer_direction": None,
-                  "signed_permutation": None}
+                  "signed_axes": None}
         if root.exact:
             w, s = root.integer_direction
             record["integer_direction"] = [list(w), str(s)]
-            sp = root.signed_permutation
-            record["signed_permutation"] = sp and [list(sp.perm),
-                                                   list(sp.flipped)]
+            axes, plus = root.signed_axes
+            record["signed_axes"] = [list(axes), plus]
         roots.append(record)
     return {"family": rs.family, "rank": rs.rank, "dimension": rs.dimension,
             "roots": roots,
@@ -92,9 +92,8 @@ def test_reflection_jacobian_is_minus_one():
     for family, rank in (("A", 2), ("A", 3), ("B", 2), ("Z2", 3), ("I2", 4)):
         rs = build_root_system(family, rank, 1)
         for root in rs.positive_roots:
-            assert np.linalg.det(
-                reflection_matrix(root, exact=False)
-            ) == pytest.approx(-1.0, abs=1e-12)
+            assert np.linalg.det(reflection_matrix(root)) == pytest.approx(
+                -1.0, abs=1e-12)
 
 
 def test_reflection_involution_and_isometry(rs_b2, rng):
@@ -124,12 +123,13 @@ def test_z2_reflections_are_exact_sign_flips(rs_z23, rng):
             a[0] = 1.0
 
 
-def test_exact_reflection_matrix_is_rational(rs_a2):
-    for root in rs_a2.positive_roots:
-        M = reflection_matrix(root, exact=True)
-        assert all(isinstance(c, (int, Fraction)) for row in M for c in row)
-        arr = np.array([[float(c) for c in row] for row in M])
-        assert np.allclose(arr @ arr, np.eye(3), atol=0)
+@pytest.mark.parametrize("direction", [(0, 0), (Fraction(0),) * 3, (0.0, 0.0)],
+                         ids=["int", "Fraction", "float"])
+def test_zero_root_direction_is_a_value_error(direction):
+    # a zero direction is a usage error (exit 2), not the ZeroDivisionError
+    # of |v|^2 = 0, which the CLI would report as an arithmetic fault (exit 3)
+    with pytest.raises(ValueError, match="is zero"):
+        Root(direction, exact=not isinstance(direction[0], float))
 
 
 def test_gamma_is_multiplicity_sum(rs_a2, rs_b2):
