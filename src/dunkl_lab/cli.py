@@ -2,11 +2,11 @@
 
 Usage:
     dunkl-lab verify <suite> [--family A|B|Z2|I2] [--rank n] [--k v1,v2]
-                     [--p P|auto] [--eps e1,e2,...] [--tol t]
-                     [--quad-order q] [--nmax n] [--config file.json]
-                     [--out dir]
+                     [--p P|auto] [--nmax n] [--out dir]
 
-``--rank`` is n for A_n, B_n and Z2^n and m for the dihedral I2(m).
+``--rank`` is n for A_n, B_n and Z2^n and m for the dihedral I2(m).  Every
+sharpness sweep runs one fixed configuration: the epsilon schedule, the
+tolerances and the quadrature size are constants of ``inequalities``.
 Suites: identities, harmonics, hardy, hardy-rellich, all.  Exit code 0 iff
 every verdict passed, 1 on any failed verdict, 2 on a usage error, 3 on an
 internal arithmetic fault.
@@ -31,9 +31,7 @@ from .harmonics import (
     sphere_eigencheck,
 )
 from .inequalities import (
-    DEFAULT_EPSILONS,
     alternate_exponent_limit,
-    epsilon_schedule,
     mode_coefficients,
     sharpness_sweep,
 )
@@ -41,23 +39,6 @@ from .polyalg import Polynomial, identity_checks, norm_squared
 from .reflection import build_root_system
 
 SUITES = ("identities", "harmonics", "hardy", "hardy-rellich", "all")
-
-# each option as (default, flag type or choices, the JSON types a config
-# file may give it, their description); a bool is never one of those types,
-# and a number in a config file reads as its flag would
-_NUMBER = (int, float)
-_TEXT = ((str,) + _NUMBER, "a string or a number")
-_OPTIONS = {
-    "family": ("A", ("A", "B", "Z2", "I2"), (str,), "a string"),
-    "rank": (2, int, (int,), "an integer"),
-    "k": ("1", str, *_TEXT),
-    "p": ("auto", str, *_TEXT),
-    "eps": (",".join(map(str, DEFAULT_EPSILONS)), str, *_TEXT),
-    "tol": (None, float, _NUMBER + (type(None),), "a number or null"),
-    "quad_order": (48, int, (int,), "an integer"),
-    "nmax": (4, int, (int,), "an integer"),
-    "out": ("dunkl-lab-out", str, (str,), "a string"),
-}
 
 
 class UsageError(ValueError):
@@ -139,15 +120,7 @@ def _run_sweeps(rs, cfg, kinds, suite):
     details, csvs = [], {}
     for kind in kinds:
         # sharpness_sweep raises ValueError (exit 2) outside the admissible range
-        sweep = sharpness_sweep(
-            kind,
-            rs.dimension,
-            float(rs.gamma),
-            p=cfg["p"],
-            epsilons=cfg["eps"],
-            tolerance=cfg["tol"],
-            nodes=cfg["quad_order"],
-        )
+        sweep = sharpness_sweep(kind, rs.dimension, float(rs.gamma), p=cfg["p"])
         details.append(_detail(
             f"sharpness/{kind}", sweep.converged, sweep.tolerance,
             target=sweep.target, extrapolated=sweep.extrapolated_oracle,
@@ -236,46 +209,19 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITES)
-    for name, (_, kind, _, _) in _OPTIONS.items():
-        parse = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-        verify.add_argument("--" + name.replace("_", "-"), dest=name, **parse)
-    verify.add_argument("--config")
+    verify.add_argument("--family", default="A", choices=("A", "B", "Z2", "I2"))
+    verify.add_argument("--rank", default=2, type=int)
+    verify.add_argument("--k", default="1")
+    verify.add_argument("--p", default="auto")
+    verify.add_argument("--nmax", default=4, type=int)
+    verify.add_argument("--out", default="dunkl-lab-out")
     return parser
 
 
-def _merge_config(args) -> dict:
-    """The resolved options, each parsed once: family upper-cased, eps a
-    tuple of floats, p a float or None for auto, tol a float or None.  The
-    schedule and the output directory are checked before any suite runs."""
-    cfg = {name: spec[0] for name, spec in _OPTIONS.items()}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key, value in file_cfg.items():
-            key = key.replace("-", "_")
-            if key not in _OPTIONS:
-                raise UsageError(f"unknown config key {key!r}")
-            _, kind, types, description = _OPTIONS[key]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise UsageError(
-                    f"config key {key!r} takes {description}, not {value!r}"
-                )
-            cfg[key] = kind(value) if isinstance(value, _NUMBER) else value
-    for key in _OPTIONS:
-        value = getattr(args, key)
-        if value is not None:
-            cfg[key] = value
-    # inf and nan parse as floats (a bad number raises ValueError: exit 2);
-    # each is a usage error, not a verdict
-    if cfg["tol"] is not None and not (isfinite(cfg["tol"]) and cfg["tol"] > 0):
-        raise UsageError("--tol must be finite and positive")
-    if cfg["quad_order"] < 8:
-        raise UsageError("--quad-order must be at least 8")
+def _resolve_options(args) -> dict:
+    """The options as a dict, p a float or None for auto.  The output
+    directory is checked before any suite runs."""
+    cfg = vars(args)
     if cfg["nmax"] < 1:
         raise UsageError("--nmax must be at least 1")
     # the nearest existing path among out and its parents; nothing is created
@@ -284,11 +230,12 @@ def _merge_config(args) -> dict:
         out = out.parent
     if not out.is_dir():
         raise UsageError(f"--out {cfg['out']!r} is not a directory")
-    eps = epsilon_schedule(e for e in cfg["eps"].split(",") if e.strip())
+    # inf, nan and 1e400 parse as floats (a bad number raises ValueError:
+    # exit 2); each is a usage error, not a verdict
     p = None if cfg["p"] == "auto" else float(cfg["p"])  # None: Nbar + 1
     if p is not None and not isfinite(p):
         raise UsageError("--p must be auto or a finite number")
-    cfg.update(family=cfg["family"].upper(), eps=eps, p=p)
+    cfg["p"] = p
     return cfg
 
 
@@ -299,12 +246,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _merge_config(args)
-        return run_suite(args.suite, cfg)
+        return run_suite(args.suite, _resolve_options(args))
     except ValueError as exc:  # UsageError is a ValueError
         print(f"dunkl-lab: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # the config is read by now: the report cannot be written
+    except OSError as exc:  # the report cannot be written
         print(f"dunkl-lab: error: cannot write the report: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

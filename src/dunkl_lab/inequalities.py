@@ -48,7 +48,6 @@ __all__ = [
     "oracle_quotient",
     "quadrature_quotient",
     "extrapolate_to_zero",
-    "epsilon_schedule",
     "sharpness_sweep",
     "alternate_exponent_limit",
     "mode_coefficients",
@@ -57,7 +56,8 @@ __all__ = [
     "hardy_eps_check",
 ]
 
-DEFAULT_EPSILONS = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
+EPSILONS = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)  # every sweep's schedule
+QUAD_NODES = 48  # Gauss nodes per panel of a sweep's radial grid
 ORACLE_AGREEMENT_RTOL = 1e-6
 DOMAIN_RTOL = 1e-6  # domain checks: relative slack on top of quad error
 
@@ -181,13 +181,13 @@ def oracle_quotient(
     return _closed_form(prof, f.num, nbar, p) / _closed_form(prof, f.den, nbar, p)
 
 
-def _quadrature(prof, term: Term, nbar: float, eps: float, p, nodes: int):
+def _quadrature(prof, term: Term, nbar: float, eps: float, p):
     q = term.power(p)
     exponent = nbar - 1.0 + term.shift(p)
     ends = {None: None, "weight": exponent}
     head = dict(ends, eps=eps - 1.0)[term.head]
     tail = dict(ends, eps=-1.0 - eps)[term.tail]
-    grid = RadialGrid(prof.breakpoints, nodes)
+    grid = RadialGrid(prof.breakpoints, QUAD_NODES)
     field = {
         "value": prof.value,
         "grad": prof.deriv,
@@ -199,18 +199,14 @@ def _quadrature(prof, term: Term, nbar: float, eps: float, p, nodes: int):
 
 
 def quadrature_quotient(
-    kind: str,
-    nbar: float,
-    eps: float,
-    p: float | None = None,
-    nodes: int = 48,
+    kind: str, nbar: float, eps: float, p: float | None = None
 ) -> float:
     """Same quotient, evaluating the profile pointwise under weighted
     Gauss rules (Jacobi rules absorb the r^(eps-1) head and tail)."""
     f = _functional(kind)
     prof = f.extremizer(nbar, eps, p)
-    return _quadrature(prof, f.num, nbar, eps, p, nodes) / _quadrature(
-        prof, f.den, nbar, eps, p, nodes
+    return _quadrature(prof, f.num, nbar, eps, p) / _quadrature(
+        prof, f.den, nbar, eps, p
     )
 
 
@@ -256,38 +252,19 @@ class RayleighSweep:
         ]
 
 
-def epsilon_schedule(epsilons) -> tuple:
-    """The schedule as a tuple of floats.  Raises ValueError unless it is
-    non-empty, finite, strictly decreasing and nowhere below 1e-4."""
-    epsilons = tuple(float(e) for e in epsilons)
-    if not epsilons or not np.all(np.isfinite(epsilons)):
-        raise ValueError("epsilon schedule must be non-empty and finite")
-    if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
-        raise ValueError("epsilon schedule must be strictly decreasing")
-    if epsilons[-1] < 1e-4:
-        raise ValueError("epsilons below 1e-4 are under the quadrature floor")
-    return epsilons
-
-
 def sharpness_sweep(
-    kind: str,
-    N: int,
-    gamma: float,
-    p: float | None = None,
-    epsilons=DEFAULT_EPSILONS,
-    tolerance: float | None = None,
-    nodes: int = 48,
+    kind: str, N: int, gamma: float, p: float | None = None
 ) -> RayleighSweep:
     """Run the extremizer sweep for one functional and verdict on the limit.
 
-    Pure-power families default to 1% tolerance, mollified ones to 2%; the
-    oracle and quadrature paths must agree to 1e-6 at every eps >= 1e-3.
-    Raises ValueError for an unknown kind, outside the functional's
-    admissible range, for a schedule that ``epsilon_schedule`` rejects, and
-    for a tolerance that is not finite and positive.
+    The sweep runs ``EPSILONS`` with ``QUAD_NODES`` Gauss nodes per panel
+    and extrapolates its last three quotients to eps = 0.  The limit must
+    lie within 1% of the target for pure-power families and within 2% for
+    mollified ones; the oracle and quadrature paths must agree to 1e-6 at
+    every eps.  Raises ValueError for an unknown kind and outside the
+    functional's admissible range.
     """
     f = _functional(kind)
-    epsilons = epsilon_schedule(epsilons)
     nbar = N + 2.0 * gamma
     if not f.uses_p:
         p = None
@@ -295,29 +272,25 @@ def sharpness_sweep(
         p = nbar + 1.0
     if not f.admissible(nbar, p):
         raise ValueError(f"{kind} needs {f.rule} (nbar = {nbar:g}, p = {p})")
-    if tolerance is None:
-        tolerance = 0.02 if f.mollified else 0.01
-    elif not (np.isfinite(tolerance) and tolerance > 0):
-        raise ValueError("tolerance must be finite and positive")
+    tolerance = 0.02 if f.mollified else 0.01
     target = sharp_constant(kind, nbar, p)
 
     q_oracle, q_quad = [], []
     agreement = 0.0
-    for eps in epsilons:
+    for eps in EPSILONS:
         qo = oracle_quotient(kind, nbar, eps, p)
-        qq = quadrature_quotient(kind, nbar, eps, p, nodes)
+        qq = quadrature_quotient(kind, nbar, eps, p)
         rel = abs(qo - qq) / abs(qo)
         agreement = float(np.maximum(agreement, rel))  # keeps a NaN
-        if eps >= 1e-3 and not rel <= ORACLE_AGREEMENT_RTOL:  # fails on NaN
+        if not rel <= ORACLE_AGREEMENT_RTOL:  # fails on NaN
             raise OracleMismatchError(
                 f"{kind}: closed-form {qo!r} vs quadrature {qq!r} at eps={eps}"
             )
         q_oracle.append(qo)
         q_quad.append(qq)
 
-    tail = min(3, len(epsilons))
-    ex_o = extrapolate_to_zero(epsilons[-tail:], q_oracle[-tail:])
-    ex_q = extrapolate_to_zero(epsilons[-tail:], q_quad[-tail:])
+    ex_o = extrapolate_to_zero(EPSILONS[-3:], q_oracle[-3:])
+    ex_q = extrapolate_to_zero(EPSILONS[-3:], q_quad[-3:])
     rel_gap = abs(ex_o - target) / target
 
     slack = 1e-8 * (1.0 + target) if not f.mollified else 1e-5 * target
@@ -326,12 +299,12 @@ def sharpness_sweep(
     )
     verdict = "converged" if (monotone and rel_gap <= tolerance) else "failed"
     return RayleighSweep(
-        kind, nbar, p, target, tolerance, epsilons, tuple(q_oracle),
+        kind, nbar, p, target, tolerance, EPSILONS, tuple(q_oracle),
         tuple(q_quad), ex_o, ex_q, rel_gap, agreement, verdict,
     )
 
 
-def alternate_exponent_limit(N: int, gamma: float, epsilons=DEFAULT_EPSILONS):
+def alternate_exponent_limit(N: int, gamma: float):
     """Status of the hardy_rellich family with decay exponent built from the
     raw dimension N instead of nbar: divergent whenever gamma > 0, otherwise
     the same limit.  Returned as (status, value-or-None) for reporting."""
@@ -340,8 +313,8 @@ def alternate_exponent_limit(N: int, gamma: float, epsilons=DEFAULT_EPSILONS):
         # tail of int u^2 r^(nbar-5) grows like r^(2*gamma - eps): divergent
         # once eps < 2*gamma
         return "divergent", None
-    qs = [oracle_quotient("hardy_rellich", nbar, e) for e in epsilons]
-    return "finite", extrapolate_to_zero(epsilons[-3:], qs[-3:])
+    qs = [oracle_quotient("hardy_rellich", nbar, e) for e in EPSILONS]
+    return "finite", extrapolate_to_zero(EPSILONS[-3:], qs[-3:])
 
 
 # ---------------------------------------------------------------------------

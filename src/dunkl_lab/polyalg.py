@@ -162,12 +162,17 @@ class Polynomial:
         return len(degs) <= 1
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
+        if isinstance(other, (int, Fraction)):
+            other = constant(self.nvars, other)
+        elif not isinstance(other, Polynomial):
             return NotImplemented
         return (self.nvars == other.nvars and self._den == other._den
                 and self._num == other._num)
 
     def __hash__(self):
+        if self.degree() == 0:
+            # a constant equals its int or Fraction value, so hashes as it
+            return hash(Fraction(sum(self._num.values()), self._den))
         return hash((self.nvars, self._den, frozenset(self._num.items())))
 
     def _combine(self, other, sign: int) -> "Polynomial":
@@ -199,6 +204,9 @@ class Polynomial:
 
     def __sub__(self, other):
         return self._combine(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._combine(other, 1)
 
     def __neg__(self):
         return _wrap(self.nvars, {e: -c for e, c in self._num.items()}, self._den)

@@ -316,7 +316,7 @@ def test_criterion_10_mode_algebra():
 
 def test_criterion_11_oracle_equivalence():
     # every sweep of criteria 1-5 must match its closed-form oracle to 1e-6
-    # relative at each epsilon >= 1e-3 (sharpness_sweep raises
+    # relative at each epsilon (sharpness_sweep raises
     # OracleMismatchError otherwise); re-assert the agreements
     for kind, cases in SWEEPS.items():
         for N, gamma, p in cases:

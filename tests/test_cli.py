@@ -112,93 +112,47 @@ def test_reports_are_deterministic(tmp_path):
     ).read_bytes()
 
 
-def test_config_file_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "A", "rank": 2, "k": "1",
-                               "out": str(tmp_path / "from_cfg")}))
-    out = tmp_path / "flag_wins"
-    assert _run(["verify", "hardy", "--config", str(cfg),
-                 "--out", str(out)]) == 0
-    assert (out / "summary.json").exists()
-    assert not (tmp_path / "from_cfg").exists()
-
-
-def test_usage_errors_exit_2(tmp_path):
-    assert _run(["verify", "hardy", "--family", "A", "--rank", "2",
-                 "--p", "3", "--out", str(tmp_path / "x")]) == 2
-    assert _run(["verify", "hardy", "--eps", "0.1,0.3",
-                 "--out", str(tmp_path / "y")]) == 2
-    assert _run(["verify", "hardy", "--k", "bogus",
-                 "--out", str(tmp_path / "z")]) == 2
-    assert _run(["verify", "hardy", "--config", str(tmp_path / "nope.json"),
-                 "--out", str(tmp_path / "w")]) == 2
-    assert _run(["verify", "harmonics", "--nmax", "0",
-                 "--out", str(tmp_path / "v")]) == 2
+def test_usage_errors_exit_2(tmp_path, capsys):
+    for argv, message in [
+        (["hardy", "--family", "A", "--rank", "2", "--p", "3"],
+         "hardy_p needs p > nbar"),
+        (["hardy", "--k", "bogus"], "bad multiplicity list"),
+        (["harmonics", "--nmax", "0"], "--nmax must be at least 1"),
+    ]:
+        out = tmp_path / argv[0]
+        assert _run(["verify", *argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
     assert _run(["verify", "nonsense"]) == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
     assert _run(["frobnicate"]) == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, file_cfg", [
-    (["--eps", "0.3", "--tol", "inf"], None),
-    (["--eps", "0.3", "--tol", "nan"], None),
-    (["--eps", "0.3,0.1,nan"], None),
-    (["--eps", "inf,0.3,0.1"], None),
-    (["--eps", "0.3", "--p", "inf"], None),
-    (["--eps", "0.3", "--p", "1e400"], None),
-    # json reads Infinity, NaN and 1e400 as non-finite floats
-    ([], '{"eps": 0.3, "tol": Infinity}'),
-    ([], '{"eps": NaN}'),
-    ([], '{"eps": 0.3, "p": 1e400}'),
-], ids=["tol=inf", "tol=nan", "eps=nan", "eps=inf", "p=inf", "p=1e400",
-        "config-tol=inf", "config-eps=nan", "config-p=1e400"])
-def test_non_finite_number_is_a_usage_error(tmp_path, capsys, flags, file_cfg):
-    if file_cfg is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(file_cfg)
-        flags = ["--config", str(cfg)]
+@pytest.mark.parametrize("flags", [["--p", "inf"], ["--p", "1e400"]],
+                         ids=["p=inf", "p=1e400"])
+def test_non_finite_number_is_a_usage_error(tmp_path, capsys, flags):
     out = tmp_path / "o"
     assert _run(["verify", "hardy", "--family", "A", "--rank", "2", *flags,
                  "--out", str(out)]) == 2
-    assert "dunkl-lab: error:" in capsys.readouterr().err
+    assert "dunkl-lab: error: --p must be auto or a finite number" in (
+        capsys.readouterr().err)
     assert not out.exists()
 
 
-def test_unknown_config_key_rejected(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"frobnicate": 1}))
-    assert _run(["verify", "identities", "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 2
-
-
-@pytest.mark.parametrize("key, value", [
-    ("family", 1), ("out", 7), ("rank", 2.5), ("rank", True), ("nmax", 2.5),
-    ("quad_order", 8.9), ("tol", "0.01"), ("tol", True), ("p", [7]),
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "0.3"), ("--tol", "1"), ("--quad-order", "16"),
+    ("--config", "f.json"),
 ])
-def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys,
-                                                        key, value):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
+def test_sweep_configuration_is_not_an_option(tmp_path, monkeypatch, capsys,
+                                              flag, value):
+    # every sweep runs the fixed schedule, tolerances and quadrature size
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text("{}")
     out = tmp_path / "o"
-    assert _run(["verify", "hardy", "--config", str(cfg), "--out", str(out)]) == 2
-    assert repr(key) in capsys.readouterr().err
+    assert _run(["verify", "hardy", flag, value, "--out", str(out)]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("file_cfg, flags", [
-    ({"k": 0.5, "p": 7, "eps": 0.001}, ["--k", "0.5", "--p", "7", "--eps", "0.001"]),
-    ({"tol": 1}, ["--tol", "1"]),
-    ({"family": "B", "rank": 2, "quad_order": 16},
-     ["--family", "B", "--rank", "2", "--quad-order", "16"]),
-])
-def test_numeric_config_values_read_as_their_flags(tmp_path, file_cfg, flags):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(file_cfg))
-    from_file, from_flags = tmp_path / "file", tmp_path / "flags"
-    assert _run(["verify", "hardy", "--config", str(cfg),
-                 "--out", str(from_file)]) == 0
-    assert _run(["verify", "hardy", *flags, "--out", str(from_flags)]) == 0
-    for name in ("summary.json", "hardy_hardy_p.csv", "hardy_hardy_2.csv"):
-        assert (from_file / name).read_bytes() == (from_flags / name).read_bytes()
 
 
 @pytest.mark.parametrize("golden, flags", [
@@ -224,6 +178,7 @@ def test_out_that_is_not_a_directory_is_a_usage_error(tmp_path, capsys, below):
                  "--nmax", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dunkl-lab: error:") and err.count("\n") == 1
+    assert "is not a directory" in err
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["a-file", "under-a-file"])
@@ -239,20 +194,7 @@ def test_out_that_is_not_a_directory_is_rejected_before_any_suite_runs(
     assert ran == []
 
 
-def test_an_epsilon_below_the_floor_is_rejected_before_any_suite_runs(
-        tmp_path, monkeypatch, capsys):
-    ran = _record_suites(monkeypatch)
-    out = tmp_path / "o"
-    assert _run(["verify", "all", "--family", "B", "--rank", "3",
-                 "--eps", "0.3,0.00001", "--out", str(out)]) == 2
-    assert "under the quadrature floor" in capsys.readouterr().err
-    assert ran == [] and not out.exists()
-    # the stubs do run once the schedule is valid
-    assert _run(["verify", "all", "--eps", "0.3,0.001", "--out", str(out)]) == 0
-    assert ran == list(cli._SUITE_FNS)
-
-
-def test_dihedral_order_is_the_rank(tmp_path):
+def test_dihedral_order_is_the_rank(tmp_path, capsys):
     # I2(6) has six positive roots: Nbar = 2 + 2*6 = 14, hardy_2 target 36
     out = tmp_path / "o"
     assert _run(["verify", "hardy", "--family", "I2", "--rank", "6",
@@ -260,20 +202,19 @@ def test_dihedral_order_is_the_rank(tmp_path):
     doc = json.loads((out / "summary.json").read_text())
     targets = {d["check"]: d["target"] for d in doc["details"]}
     assert targets["sharpness/hardy_2"] == 36.0
-    # there is no separate order option, on the command line or in a config
+    # there is no separate order option
     assert _run(["verify", "hardy", "--family", "I2", "--m", "6",
                  "--out", str(tmp_path / "m")]) == 2
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "I2", "m": 6}))
-    assert _run(["verify", "hardy", "--config", str(cfg),
-                 "--out", str(tmp_path / "c")]) == 2
+    assert "unrecognized arguments: --m 6" in capsys.readouterr().err
 
 
-def test_fourth_order_needs_large_nbar(tmp_path):
+def test_fourth_order_needs_large_nbar(tmp_path, capsys):
     # N + 2 gamma = 2 for Z2^2 with k = 0: usage error, not a crash
-    for suite in ("hardy-rellich", "hardy"):
+    for suite, message in (("hardy-rellich", "rellich needs nbar > 4"),
+                           ("hardy", "hardy_2 needs nbar > 2")):
         assert _run(["verify", suite, "--family", "Z2", "--rank", "2",
                      "--k", "0", "--out", str(tmp_path / suite)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_internal_fault_exits_3(tmp_path, capsys):

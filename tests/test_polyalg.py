@@ -119,13 +119,28 @@ def test_arithmetic_needs_equal_nvars():
 
 @pytest.mark.parametrize("op", [
     lambda p: p + 0.5, lambda p: p - 0.5, lambda p: p * 0.5,
-    lambda p: 0.5 * p, lambda p: 0.5 + p,
-], ids=["p+0.5", "p-0.5", "p*0.5", "0.5*p", "0.5+p"])
+    lambda p: 0.5 * p, lambda p: 0.5 + p, lambda p: 0.5 - p,
+], ids=["p+0.5", "p-0.5", "p*0.5", "0.5*p", "0.5+p", "0.5-p"])
 def test_float_operand_is_a_type_error(op):
     # coefficients are rational: a float operand is refused by Python's
     # operator protocol, not read as a polynomial
     with pytest.raises(TypeError):
         op(variable(0, 2))
+
+
+@pytest.mark.parametrize("c", [1, Fraction(1, 2)], ids=["int", "Fraction"])
+def test_rational_minus_polynomial(c):
+    x = variable(0, 2)
+    assert c - x == constant(2, c) - x == -(x - c)
+
+
+def test_polynomial_equals_its_rational_constant():
+    x = variable(0, 2)
+    assert x - x == 0 and x != 0
+    assert constant(2, 3) == 3
+    third = constant(2, Fraction(1, 3))
+    assert third == Fraction(1, 3) and hash(third) == hash(Fraction(1, 3))
+    assert {x - x: 1}[0] == 1
 
 
 def test_divided_difference_exactness(rs_b2, rng):
