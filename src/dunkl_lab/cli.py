@@ -30,11 +30,7 @@ from .harmonics import (
     kernel_basis,
     sphere_eigencheck,
 )
-from .inequalities import (
-    alternate_exponent_limit,
-    mode_coefficients,
-    sharpness_sweep,
-)
+from .inequalities import mode_coefficients, sharpness_sweep
 from .polyalg import Polynomial, identity_checks, norm_squared
 from .reflection import build_root_system
 
@@ -117,7 +113,8 @@ def _suite_harmonics(rs, cfg):
 
 
 def _run_sweeps(rs, cfg, kinds, suite):
-    details, csvs = [], {}
+    """(details, csvs, sweeps), with sweeps[kind] the sweep of each kind."""
+    details, csvs, sweeps = [], {}, {}
     for kind in kinds:
         # sharpness_sweep raises ValueError (exit 2) outside the admissible range
         sweep = sharpness_sweep(kind, rs.dimension, float(rs.gamma), p=cfg["p"])
@@ -127,15 +124,16 @@ def _run_sweeps(rs, cfg, kinds, suite):
             rel_gap=sweep.rel_gap, oracle_agreement=sweep.oracle_agreement,
         ))
         csvs[f"{suite}_{kind}.csv"] = sweep.csv_rows()
-    return details, csvs
+        sweeps[kind] = sweep
+    return details, csvs, sweeps
 
 
 def _suite_hardy(rs, cfg):
-    return _run_sweeps(rs, cfg, ("hardy_p", "hardy_2"), "hardy")
+    return _run_sweeps(rs, cfg, ("hardy_p", "hardy_2"), "hardy")[:2]
 
 
 def _suite_hardy_rellich(rs, cfg):
-    details, csvs = _run_sweeps(
+    details, csvs, sweeps = _run_sweeps(
         rs, cfg, ("rellich", "weighted_hr", "hardy_rellich"), "hardy-rellich"
     )
     N, gamma = rs.dimension, rs.gamma
@@ -150,8 +148,14 @@ def _suite_hardy_rellich(rs, cfg):
                                value=float(co1.d_n), expected=float(d1)))
         details.append(_detail("mode_coefficients/d2", co2.d_n == d2,
                                value=float(co2.d_n), expected=float(d2)))
-    status, value = alternate_exponent_limit(rs.dimension, float(rs.gamma))
-    # informational: always passes
+    # hardy_rellich with its decay exponent built from N in place of nbar:
+    # for gamma > 0 the tail of int u^2 r^(nbar-5) grows like
+    # r^(2 gamma - eps), divergent once eps < 2 gamma; at gamma = 0 it is
+    # the sweep just run.  Informational: always passes.
+    if gamma > 0:
+        status, value = "divergent", None
+    else:
+        status, value = "finite", sweeps["hardy_rellich"].extrapolated_oracle
     details.append(_detail("raw_dimension_exponent_limit", True, status=status,
                            value=value))
     return details, csvs

@@ -45,10 +45,9 @@ def _product(center, radial, P: Polynomial | None = None,
              support=None) -> SmoothFunction:
     """u(x) = g(s) P(y) with y = x - c and s = |y|, by the product rule.
 
-    ``radial(q, want)`` takes q = s^2 and returns (g, b, c) = (g, g'/s,
-    (g'' - g'/s)/s^2), each computed only if its letter is in ``want`` and
-    None otherwise (see ``_radial_parts``); every field asks for the parts
-    it uses.  P is an exact polynomial, or None for the constant 1, which
+    ``radial`` is the radial part as three functions (g, b, c) of q = s^2:
+    g, b = g'/s and c = (g'' - g'/s)/s^2; each field calls only those it
+    uses.  P is an exact polynomial, or None for the constant 1, which
     evaluates no polynomial at all.  Then
 
       grad u = b P y + g grad P,
@@ -57,56 +56,52 @@ def _product(center, radial, P: Polynomial | None = None,
     """
     c0 = np.asarray(center, dtype=float)
     N = len(c0)
+    g, b, c = radial
     if P is not None:
         grad_P = [P.partial(i) for i in range(N)]
         hess_P = [[d.partial(j) for j in range(N)] for d in grad_P]
         lap_P = sum((hess_P[i][i] for i in range(N)), Polynomial(N))
 
-    def parts(X, want):
+    def shifted(X):
         Y = np.atleast_2d(np.asarray(X, dtype=float)) - c0
-        q = np.sum(Y**2, axis=1)
-        return (Y, q, *radial(q, want))
+        return Y, np.sum(Y**2, axis=1)
 
     def gradients(Y):
         return np.column_stack([d.evaluate(Y) for d in grad_P])
 
     def value(X):
-        Y, _, g, _, _ = parts(X, "g")
-        return g if P is None else g * P.evaluate(Y)
+        Y, q = shifted(X)
+        return g(q) if P is None else g(q) * P.evaluate(Y)
 
     def gradient(X):
-        Y, _, g, b, _ = parts(X, "b" if P is None else "gb")
+        Y, q = shifted(X)
         if P is None:
-            return b[:, None] * Y
-        return (b * P.evaluate(Y))[:, None] * Y + g[:, None] * gradients(Y)
+            return b(q)[:, None] * Y
+        return (b(q) * P.evaluate(Y))[:, None] * Y + g(q)[:, None] * gradients(Y)
 
     def laplacian(X):
-        Y, q, g, b, c = parts(X, "bc" if P is None else "gbc")
+        Y, q = shifted(X)
+        bq, cq = b(q), c(q)
         if P is None:
-            return q * c + N * b
-        return ((q * c + N * b) * P.evaluate(Y)
-                + 2.0 * b * np.einsum("mi,mi->m", Y, gradients(Y))
-                + g * lap_P.evaluate(Y))
+            return q * cq + N * bq
+        return ((q * cq + N * bq) * P.evaluate(Y)
+                + 2.0 * bq * np.einsum("mi,mi->m", Y, gradients(Y))
+                + g(q) * lap_P.evaluate(Y))
 
     def hessian(X):
-        Y, _, g, b, c = parts(X, "bc" if P is None else "gbc")
+        Y, q = shifted(X)
+        bq, cq = b(q), c(q)
         pv = 1.0 if P is None else P.evaluate(Y)
-        H = np.einsum("m,mi,mj->mij", c * pv, Y, Y)
-        H += (b * pv)[:, None, None] * np.eye(N)
+        H = np.einsum("m,mi,mj->mij", cq * pv, Y, Y)
+        H += (bq * pv)[:, None, None] * np.eye(N)
         if P is None:
             return H
-        YD = np.einsum("m,mi,mj->mij", b, Y, gradients(Y))
+        YD = np.einsum("m,mi,mj->mij", bq, Y, gradients(Y))
         Hp = np.array([[h.evaluate(Y) for h in row] for row in hess_P])
-        return H + YD + YD.transpose(0, 2, 1) + np.einsum("m,ijm->mij", g, Hp)
+        return H + YD + YD.transpose(0, 2, 1) + np.einsum("m,ijm->mij", g(q), Hp)
 
     return SmoothFunction(value, gradient, laplacian, hessian, dimension=N,
                           support=support)
-
-
-def _radial_parts(want, **fns):
-    """(g, b, c) from the zero-argument callables ``fns``, calling only those
-    whose letter is in ``want``; the rest are None."""
-    return tuple(fns[k]() if k in want else None for k in "gbc")
 
 
 def ball_bump(center, radius: float) -> SmoothFunction:
@@ -115,25 +110,21 @@ def ball_bump(center, radius: float) -> SmoothFunction:
     The ball is the function's declared ``support``."""
     rho2 = float(radius) ** 2
 
-    def radial(q, want):
+    def w(q):
         t = q / rho2
-        w = np.where(t < 1.0, 1.0 - t, 0.0)
-        return _radial_parts(want, g=lambda: w**3,
-                             b=lambda: -6.0 / rho2 * w**2,
-                             c=lambda: 24.0 / rho2**2 * w)
+        return np.where(t < 1.0, 1.0 - t, 0.0)
 
-    return _product(center, radial,
+    return _product(center, (lambda q: w(q)**3, lambda q: -6.0 / rho2 * w(q)**2,
+                             lambda q: 24.0 / rho2**2 * w(q)),
                     support=(np.asarray(center, dtype=float), float(radius)))
 
 
 def _gaussian(s2: float):
-    """The radial part of exp(-s^2/scale^2), with s2 = scale^2."""
-    def radial(q, want):
-        e = np.exp(-q / s2)
-        return _radial_parts(want, g=lambda: e, b=lambda: -2.0 / s2 * e,
-                             c=lambda: 4.0 / s2**2 * e)
+    """The radial part (g, b, c) of exp(-s^2/scale^2), with s2 = scale^2."""
+    def e(q):
+        return np.exp(-q / s2)
 
-    return radial
+    return e, lambda q: -2.0 / s2 * e(q), lambda q: 4.0 / s2**2 * e(q)
 
 
 def shifted_gaussian(center, scale: float) -> SmoothFunction:
@@ -177,13 +168,12 @@ def _profile_radial(profile: PiecewiseProfile):
     div = (_over if isinstance(first, PowerPiece) and first.power == 0.0
            else np.divide)
 
-    def radial(q, want):
+    def b(q):
         r = np.sqrt(q)
-        b = div(profile.deriv(r), r) if want != "g" else None  # c needs b
-        return _radial_parts(want, g=lambda: profile.value(r), b=lambda: b,
-                             c=lambda: div(profile.deriv2(r) - b, q))
+        return div(profile.deriv(r), r)
 
-    return radial
+    return (lambda q: profile.value(np.sqrt(q)), b,
+            lambda q: div(profile.deriv2(np.sqrt(q)) - b(q), q))
 
 
 def radial_shell_bump(center: float, width: float, dimension: int) -> SmoothFunction:

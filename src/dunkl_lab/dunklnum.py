@@ -48,7 +48,8 @@ class SmoothFunction:
     skip the points outside it (see ``dunkl_support``).
 
     The analytic gradient is spot-checked against central finite differences
-    at registration; silent finite differencing is never used afterwards.
+    at registration, at four seeded points inside the declared support if
+    any; silent finite differencing is never used afterwards.
     """
 
     value: object
@@ -73,6 +74,11 @@ class SmoothFunction:
         rng = random.Random(_PROBE_RNG_SEED)
         X = np.array([[rng.uniform(-1.0, 1.0) for _ in range(self.dimension)]
                       for _ in range(4)])
+        if self.support is not None:
+            # outside its ball the function and its gradient are exactly 0,
+            # so the cube is mapped into the ball of 0.9 times its radius
+            center, radius = self.support
+            X = center + (0.9 * radius / np.sqrt(self.dimension)) * X
         g = np.asarray(self.gradient(X), dtype=float)
         fd = np.empty_like(g)
         for j in range(self.dimension):

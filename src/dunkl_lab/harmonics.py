@@ -138,28 +138,26 @@ class HHarmonicBasis:
 
 def kernel_basis(rs: RootSystem, n: int) -> list:
     """Exact basis of homogeneous degree-n polynomials killed by the
-    Dunkl Laplacian."""
+    Dunkl Laplacian, the kernel of its matrix on the degree-n monomials.
+    For n < 2 the matrix has no rows and the basis is the monomials."""
     _require_exact(rs)
     N = rs.dimension
     src = homogeneous_exponents(n, N)
-    if n < 2:
-        polys = [Polynomial(N, {e: 1}) for e in src]
-    else:
-        tgt = homogeneous_exponents(n - 2, N)
-        tgt_index = {e: i for i, e in enumerate(tgt)}
-        cols = []
-        for e in src:
-            lap = dunkl_laplacian_fast(rs, Polynomial(N, {e: 1}))
-            col = [Fraction(0)] * len(tgt)
-            for ee, c in lap.terms.items():
-                col[tgt_index[ee]] = c
-            cols.append(col)
-        rows = [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
-        kernel = fraction_kernel(rows, len(src))
-        polys = [
-            Polynomial(N, {e: c for e, c in zip(src, vec) if c != 0})
-            for vec in kernel
-        ]
+    tgt = homogeneous_exponents(n - 2, N)
+    tgt_index = {e: i for i, e in enumerate(tgt)}
+    cols = []
+    for e in src:
+        lap = dunkl_laplacian_fast(rs, Polynomial(N, {e: 1}))
+        col = [Fraction(0)] * len(tgt)
+        for ee, c in lap.terms.items():
+            col[tgt_index[ee]] = c
+        cols.append(col)
+    rows = [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
+    kernel = fraction_kernel(rows, len(src))
+    polys = [
+        Polynomial(N, {e: c for e, c in zip(src, vec) if c != 0})
+        for vec in kernel
+    ]
     d = hharmonic_dim(n, N)
     if len(polys) != d:
         raise ArithmeticError(

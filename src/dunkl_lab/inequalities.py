@@ -49,7 +49,6 @@ __all__ = [
     "quadrature_quotient",
     "extrapolate_to_zero",
     "sharpness_sweep",
-    "alternate_exponent_limit",
     "mode_coefficients",
     "mode_quotient",
     "hardy_remainder_check",
@@ -302,19 +301,6 @@ def sharpness_sweep(
         kind, nbar, p, target, tolerance, EPSILONS, tuple(q_oracle),
         tuple(q_quad), ex_o, ex_q, rel_gap, agreement, verdict,
     )
-
-
-def alternate_exponent_limit(N: int, gamma: float):
-    """Status of the hardy_rellich family with decay exponent built from the
-    raw dimension N instead of nbar: divergent whenever gamma > 0, otherwise
-    the same limit.  Returned as (status, value-or-None) for reporting."""
-    nbar = N + 2.0 * gamma
-    if gamma > 0:
-        # tail of int u^2 r^(nbar-5) grows like r^(2*gamma - eps): divergent
-        # once eps < 2*gamma
-        return "divergent", None
-    qs = [oracle_quotient("hardy_rellich", nbar, e) for e in EPSILONS]
-    return "finite", extrapolate_to_zero(EPSILONS[-3:], qs[-3:])
 
 
 # ---------------------------------------------------------------------------

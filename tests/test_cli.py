@@ -76,6 +76,23 @@ def test_harmonics_suite(tmp_path):
     assert all(d["value"] == d["expected"] for d in dims.values())
 
 
+@pytest.mark.parametrize("k, status", [("0", "finite"), ("1", "divergent")])
+def test_raw_dimension_limit_reads_the_hardy_rellich_sweep(tmp_path, k, status):
+    out = tmp_path / "o"
+    assert _run(["verify", "hardy-rellich", "--family", "Z2", "--rank", "5",
+                 "--k", k, "--out", str(out)]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    details = {d["check"]: d for d in doc["details"]}
+    raw = details["raw_dimension_exponent_limit"]
+    assert raw["status"] == status and raw["passed"] is True
+    if status == "finite":
+        sweep = details["sharpness/hardy_rellich"]
+        assert raw["value"] == sweep["extrapolated"]
+        assert raw["value"] == pytest.approx(sweep["target"], rel=0.01)
+    else:
+        assert raw["value"] is None
+
+
 def test_wrong_sphere_eigenvalue_fails_the_harmonics_suite(tmp_path,
                                                            monkeypatch):
     monkeypatch.setattr(harmonics, "eigenvalue",

@@ -17,6 +17,7 @@ from dunkl_lab.corpus import (
     shifted_gaussian,
 )
 from dunkl_lab.domains import DomainSpec, distance_data
+from dunkl_lab.dunklnum import SmoothFunction
 from dunkl_lab.polyalg import constant, variable
 from dunkl_lab.profiles import mollified_power_profile
 from dunkl_lab.quad import (
@@ -147,6 +148,18 @@ def test_domain_bump_corpus_respects_domain(rs_a2, rng):
     for _, u in corpus:
         vals = u.value(probe)
         assert np.all(vals[~inside_domain] == 0.0)
+
+
+def test_negated_bump_gradient_is_rejected_at_registration(criterion_6_configs):
+    # most of these balls hold none of the probes of [-1, 1]^3, where value,
+    # gradient and differences all read 0; a declared support moves the
+    # probes inside the ball, so the sign error shows for every bump
+    rng = np.random.default_rng(77)
+    for _, _, _, data, _, _ in criterion_6_configs:
+        for _, u in domain_bump_corpus(data, rng, 20, 4.0):
+            with pytest.raises(ValueError, match="central differences"):
+                SmoothFunction(u.value, lambda X, u=u: -u.gradient(X),
+                               dimension=u.dimension, support=u.support)
 
 
 def test_mode_corpus_and_radial_constants(rs_z23, rng):

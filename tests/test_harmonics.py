@@ -16,7 +16,7 @@ from dunkl_lab.harmonics import (
     parseval_residual,
     sphere_eigencheck,
 )
-from dunkl_lab.polyalg import dunkl_laplacian_fast
+from dunkl_lab.polyalg import Polynomial, dunkl_laplacian_fast
 from dunkl_lab.quad import (
     RadialGrid,
     jitter_off_hyperplanes,
@@ -61,6 +61,20 @@ def test_kernel_is_exactly_harmonic(rs_a2, rs_b2, rs_z23):
             for p in polys:
                 assert dunkl_laplacian_fast(rs, p).is_zero()
                 assert sphere_eigencheck(rs, p).is_zero()
+
+
+@pytest.mark.parametrize("family, rank, k", [
+    ("A", 2, Fraction(1, 2)),
+    ("B", 3, [Fraction(1, 2), 1]),
+    ("Z2", 5, Fraction(1, 3)),
+])
+def test_low_degree_kernel_is_every_monomial(family, rank, k):
+    # Delta_k kills every polynomial of degree <= 1
+    rs = build_root_system(family, rank, k)
+    N = rs.dimension
+    for n in (0, 1):
+        assert kernel_basis(rs, n) == [
+            Polynomial(N, {e: 1}) for e in homogeneous_exponents(n, N)]
 
 
 def test_kernel_rejects_irrational_system():

@@ -17,7 +17,6 @@ from dunkl_lab.inequalities import (
     FUNCTIONALS,
     DegenerateInputError,
     ModeFunction,
-    alternate_exponent_limit,
     extrapolate_to_zero,
     hardy_eps_check,
     hardy_remainder_check,
@@ -120,15 +119,6 @@ def test_sweep_rejects_bad_epsilons():
         sharpness_sweep("weighted_hr", 2, 0.0)  # needs nbar > 2
     with pytest.raises(ValueError):
         sharpness_sweep("bogus", 3, 0.0)
-
-
-def test_alternate_exponent_status():
-    status, value = alternate_exponent_limit(5, 1.0)
-    assert status == "divergent" and value is None
-    status0, value0 = alternate_exponent_limit(5, 0.0)
-    assert status0 == "finite"
-    assert value0 == pytest.approx(sharp_constant("hardy_rellich", 5.0),
-                                   rel=0.01)
 
 
 def test_mode_coefficients_exact():
