@@ -11,7 +11,7 @@ polynomials so the 1-D reductions stay quadrature-exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -108,15 +108,20 @@ def ball_bump(center, radius: float) -> SmoothFunction:
     """u = (1 - |x-c|^2/rho^2)^3 inside the ball, 0 outside; C^2 everywhere.
 
     The ball is the function's declared ``support``."""
-    rho2 = float(radius) ** 2
+    c = np.asarray(center, dtype=float)
+    radius = float(radius)
+    if not (np.all(np.isfinite(c)) and isfinite(radius) and radius > 0.0):
+        raise ValueError("a ball bump needs a finite center and a finite "
+                         "positive radius")
+    rho2 = radius**2
 
     def w(q):
         t = q / rho2
         return np.where(t < 1.0, 1.0 - t, 0.0)
 
-    return _product(center, (lambda q: w(q)**3, lambda q: -6.0 / rho2 * w(q)**2,
-                             lambda q: 24.0 / rho2**2 * w(q)),
-                    support=(np.asarray(center, dtype=float), float(radius)))
+    return _product(c, (lambda q: w(q)**3, lambda q: -6.0 / rho2 * w(q)**2,
+                        lambda q: 24.0 / rho2**2 * w(q)),
+                    support=(c, radius))
 
 
 def _gaussian(s2: float):

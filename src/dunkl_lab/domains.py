@@ -7,7 +7,7 @@ an exact formula: no numerics beyond float evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -32,11 +32,15 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "exterior_ball" and not (self.radius and self.radius > 0):
-            raise ValueError("exterior ball needs a positive radius")
+        if self.kind == "exterior_ball" and not (
+            self.radius is not None and isfinite(self.radius) and self.radius > 0
+        ):
+            raise ValueError("exterior ball needs a finite positive radius")
         if self.kind == "halfspace":
-            if self.axis is None or not 0 <= self.axis < self.dimension:
-                raise ValueError("halfspace needs a valid axis index")
+            axis = self.axis
+            if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
+                    or not 0 <= axis < self.dimension):
+                raise ValueError("halfspace needs an integer axis index in range")
 
 
 @dataclass(frozen=True)

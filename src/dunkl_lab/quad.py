@@ -222,45 +222,54 @@ def weighted_sphere(rs: RootSystem, rule: SphericalRule):
 _SUPPORT_PAD = 1e-6
 
 
-def _support_mask(r, nodes, support) -> np.ndarray:
-    """(len(r), len(nodes)) mask of the points r_i xi_j inside any ball
-    (c, rho) of ``support``.  On the ray through xi the ball is the chord
-    r in <xi,c>/|xi|^2 +- sqrt(<xi,c>^2 - |xi|^2 (|c|^2 - rho^2))/|xi|^2."""
+def _support_points(radii, nodes, support):
+    """For each increasing array r of ``radii``, the indices (i, j), in
+    row-major order, of the points r_i xi_j inside some ball (c, rho) of
+    ``support``.
+
+    On the ray through xi the ball is the chord
+    r in <xi,c>/|xi|^2 +- sqrt(<xi,c>^2 - |xi|^2 (|c|^2 - rho^2))/|xi|^2.
+    The chords are cut once, on the rays that meet a ball, and each becomes
+    the index range of lo < r_i < hi on every r.
+    """
     a = np.sum(nodes**2, axis=1)
-    mask = np.zeros((len(r), len(nodes)), dtype=bool)
+    rays, lo, hi = [], [], []
     for center, radius in support:
         c = np.asarray(center, dtype=float)
         cc = float(c @ c)
         rho = radius + _SUPPORT_PAD * (radius + sqrt(cc))
         b = nodes @ c
         disc = b**2 - a * (cc - rho**2)
-        hit = disc > 0.0
-        s = np.sqrt(np.where(hit, disc, 0.0))
-        lo, hi = (b - s) / a, (b + s) / a
-        mask |= hit & (r[:, None] > lo) & (r[:, None] < hi)
-    return mask
+        j = np.flatnonzero(disc > 0.0)
+        s = np.sqrt(disc[j])
+        rays.append(j)
+        lo.append((b[j] - s) / a[j])
+        hi.append((b[j] + s) / a[j])
+    rays, lo, hi = (np.concatenate(x) for x in (rays, lo, hi))
+    M = len(nodes)
+    points = []
+    for r in radii:
+        start = np.searchsorted(r, lo, "right")
+        count = np.searchsorted(r, hi, "left") - start  # >= 0 as lo < hi
+        # chord c's rows run from start[c], at offset sum(count[:c])
+        i = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count,
+                                               count)
+        flat = np.sort(i * M + np.repeat(rays, count))
+        # balls overlap: keep the first of each run of equal indices
+        first = np.ones(len(flat), dtype=bool)
+        first[1:] = flat[1:] != flat[:-1]
+        points.append(np.divmod(flat[first], M))
+    return points
 
 
-def polar_values(f, r, nodes, support=None) -> np.ndarray:
+def polar_values(f, r, nodes) -> np.ndarray:
     """f at the points r_i * xi_j, as an array of shape (len(r), len(nodes)),
-    or (K, len(r), len(nodes)) when f returns a (K, M) stack of fields.
-
-    ``support`` is None or a list of balls (center, radius) outside of which
-    every field of f is exactly 0 (as ``dunklnum.dunkl_support`` gives).
-    Then f is evaluated only at the points inside some ball, and the array
-    is 0 elsewhere.  Each point is computed as r_i * xi_j either way, so as
-    long as that contract holds the array is bit for bit the one without
-    ``support``.
-    """
-    if support is None:
-        X = (r[:, None, None] * nodes[None, :, :]).reshape(-1, nodes.shape[1])
-        vals = np.asarray(f(X), dtype=float)
-        return vals.reshape(vals.shape[:-1] + (len(r), len(nodes)))
-    i, j = np.nonzero(_support_mask(r, nodes, support))
-    vals = np.asarray(f(r[i, None] * nodes[j]), dtype=float)
-    out = np.zeros(vals.shape[:-1] + (len(r), len(nodes)))
-    out[..., i, j] = vals
-    return out
+    or (K, len(r), len(nodes)) when f returns a (K, M) stack of fields; f is
+    called once, on the whole grid.  (``integrate_measure`` builds its own
+    points: one call of f on the points of both its rules.)"""
+    X = (r[:, None, None] * nodes[None, :, :]).reshape(-1, nodes.shape[1])
+    vals = np.asarray(f(X), dtype=float)
+    return vals.reshape(vals.shape[:-1] + (len(r), len(nodes)))
 
 
 def sphere_weight_integral(rs: RootSystem, rule: SphericalRule) -> float:
@@ -339,28 +348,39 @@ def integrate_measure(
     a (K, M) stack of K fields; a stack is evaluated in one pass over the
     grid, and the result then holds (K,) arrays, component k being exactly
     the integral of field k alone.  The error estimate is the difference to
-    the same rule at half the nodes per interval.
+    the same rule at half the nodes per interval.  f is called once, on the
+    points of both rules together; the sums are those of each rule alone.
 
-    ``support`` (see ``polar_values``) lists balls outside of which f is
-    exactly 0; f is then evaluated only inside them, and the sums, and so
-    the result, are the same as without it.  Points outside are never
-    evaluated, so a non-finite value there is not seen.
+    ``support`` is None or a list of balls (center, radius) outside of which
+    every field of f is exactly 0 (as ``dunklnum.dunkl_support`` gives).  f
+    is then evaluated only at the points inside some ball, and the sums, and
+    so the result, are bit for bit the same as without it.  Points outside
+    are never evaluated, so a non-finite value there is not seen.
     """
     nodes, wsph = weighted_sphere(rs, rule)
     exponent = rs.dimension + 2.0 * rs.gamma - 1.0
-
-    def total(n):
-        r, wr = radial_nodes(grid, n)
-        vals = polar_values(f, r, nodes, support)
-        if not np.all(np.isfinite(vals)):
-            *_, i, j = np.argwhere(~np.isfinite(vals))[0]
-            raise ValueError(f"integrand not finite at node {r[i] * nodes[j]}")
+    M = len(nodes)
+    n = grid.nodes_per_interval
+    rules = [radial_nodes(grid, n), radial_nodes(grid, n // 2)]
+    radii = [r for r, _ in rules]
+    if support is None:
+        cells = [np.divmod(np.arange(len(r) * M), M) for r in radii]
+    else:
+        cells = _support_points(radii, nodes, support)
+    X = [r[i, None] * nodes[j] for r, (i, j) in zip(radii, cells)]
+    vals = np.split(np.asarray(f(np.concatenate(X)), dtype=float),
+                    [len(X[0])], axis=-1)
+    totals = []
+    for (r, wr), x, (i, j), v in zip(rules, X, cells, vals):
+        if not np.all(np.isfinite(v)):
+            *_, p = np.argwhere(~np.isfinite(v))[0]
+            raise ValueError(f"integrand not finite at node {x[p]}")
+        field = np.zeros(v.shape[:-1] + (len(r), M))
+        field[..., i, j] = v
         wrad = wr * r**exponent
-        if vals.ndim == 2:
-            return float(wrad @ vals @ wsph)
-        return np.array([wrad @ field @ wsph for field in vals])
-
-    v = total(grid.nodes_per_interval)
-    v2 = total(grid.nodes_per_interval // 2)
+        if field.ndim == 2:
+            totals.append(float(wrad @ field @ wsph))
+        else:
+            totals.append(np.array([wrad @ fld @ wsph for fld in field]))
+    v, v2 = totals
     return WeightedIntegral(v, abs(v - v2))
-

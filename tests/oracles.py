@@ -1,13 +1,15 @@
 """Test-side oracles: independent, slower computations that the tests
 compare package results against."""
 
+from math import sqrt
+
 import numpy as np
 
 from dunkl_lab.domains import distance_data
 from dunkl_lab.dunklnum import dunkl_gradient, dunkl_laplacian_num
 from dunkl_lab.inequalities import FUNCTIONALS
 from dunkl_lab.polyalg import Polynomial, _divide_by_linear, reflect_poly
-from dunkl_lab.quad import integrate_measure
+from dunkl_lab.quad import _SUPPORT_PAD, integrate_measure
 from dunkl_lab.reflection import generate_group
 
 
@@ -31,6 +33,31 @@ def full_space_quotient(rs, u, kind, grid, rule, p=None):
 
     num, den = integrate_measure(rs, integrands, grid, rule).value
     return num / den
+
+
+def support_chord(nodes, center, radius):
+    """(hit, lo, hi) per ray xi of ``nodes``: the ray meets the ball (c, rho),
+    widened by the quadrature's pad, in the chord lo < r < hi when hit,
+    r in <xi,c>/|xi|^2 +- sqrt(<xi,c>^2 - |xi|^2 (|c|^2 - rho^2))/|xi|^2."""
+    a = np.sum(nodes**2, axis=1)
+    c = np.asarray(center, dtype=float)
+    cc = float(c @ c)
+    rho = radius + _SUPPORT_PAD * (radius + sqrt(cc))
+    b = nodes @ c
+    disc = b**2 - a * (cc - rho**2)
+    hit = disc > 0.0
+    s = np.sqrt(np.where(hit, disc, 0.0))
+    return hit, (b - s) / a, (b + s) / a
+
+
+def support_mask(r, nodes, support):
+    """Dense (len(r), len(nodes)) mask of the points r_i xi_j inside any
+    ball of ``support``: the oracle of the quadrature's support points."""
+    mask = np.zeros((len(r), len(nodes)), dtype=bool)
+    for center, radius in support:
+        hit, lo, hi = support_chord(nodes, center, radius)
+        mask |= hit & (r[:, None] > lo) & (r[:, None] < hi)
+    return mask
 
 
 def equivariance_check(spec, rs, samples):

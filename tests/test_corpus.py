@@ -37,6 +37,19 @@ def test_bumps_register_cleanly(rng):
     random_damped_polynomial(rng, 3, 3)
 
 
+@pytest.mark.parametrize("center, radius", [
+    ([0.3, -0.2, 0.5], float("nan")),  # cut no chord: a domain check read 0 >= 0
+    ([0.3, -0.2, 0.5], float("inf")),  # u = 1 everywhere
+    ([0.3, -0.2, 0.5], -0.5),
+    ([0.3, -0.2, 0.5], 0.0),  # divided by zero at registration
+    ([0.3, float("nan"), 0.5], 0.8),
+    ([0.3, float("inf"), 0.5], 0.8),
+])
+def test_ball_bump_rejects_a_bad_center_or_radius(center, radius):
+    with pytest.raises(ValueError, match="finite"):
+        ball_bump(center, radius)
+
+
 def test_bump_support(rng):
     u = ball_bump([1.0, 0.0], 0.5)
     inside = np.array([[1.1, 0.1]])

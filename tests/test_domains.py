@@ -15,6 +15,16 @@ def test_spec_validation():
         DomainSpec("halfspace", 3, axis=5)
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("exterior_ball", {"radius": float("inf")}),  # delta would read -inf
+    ("halfspace", {"axis": 2.0}),  # distance_data would index with a float
+    ("halfspace", {"axis": True}),
+])
+def test_spec_rejects_a_bad_radius_or_axis(kind, field):
+    with pytest.raises(ValueError):
+        DomainSpec(kind, 3, **field)
+
+
 def test_exterior_ball_distance(rs_a2, rng):
     spec = DomainSpec("exterior_ball", 3, radius=1.0)
     data = distance_data(spec, rs_a2)

@@ -12,7 +12,7 @@ from dunkl_lab.quad import (
     RadialGrid,
     _jacobi,
     _legendre_panel,
-    _support_mask,
+    _support_points,
     integrate_measure,
     integrate_radial,
     jitter_off_hyperplanes,
@@ -28,6 +28,7 @@ from dunkl_lab.reflection import (
     near_hyperplane,
     reflect,
 )
+from oracles import support_chord, support_mask
 
 
 def _sphere_monomial(exponents):
@@ -208,22 +209,95 @@ def test_measure_rejects_non_finite_integrand(rs_a2, rule_a2):
         )
 
 
-def test_support_mask_covers_each_ball(rng):
-    r = np.linspace(0.0, 4.0, 97)
-    nodes = sphere_rule(3, 8).nodes
-    X = r[:, None, None] * nodes[None, :, :]
-    # balls off the origin, around it, and missing most rays
-    balls = [(np.array([1.2, -0.5, 2.0]), 0.8), (np.array([0.1, 0.2, 0.0]), 1.5),
-             (rng.normal(size=3), 0.3)]
-    for center, radius in balls:
-        mask = _support_mask(r, nodes, [(center, radius)])
-        dist = np.linalg.norm(X - center, axis=2)
-        assert np.all(mask[dist < radius])
-        assert not np.any(mask[dist > radius * (1.0 + 1e-5) + 1e-5])
-    union = _support_mask(r, nodes, balls)
-    assert np.array_equal(
-        union, np.any([_support_mask(r, nodes, [b]) for b in balls], axis=0)
-    )
+def _ball_between_rays(nodes, center):
+    """A ball around ``center`` that no ray through a node meets."""
+    t = np.maximum(nodes @ center, 0.0)
+    gap = np.min(np.linalg.norm(center - t[:, None] * nodes, axis=1))
+    return center, 0.4 * gap
+
+
+def test_support_points_are_the_dense_mask(criterion_6_configs):
+    """Each chord cut to an index range of the radii gives exactly the points
+    of the dense mask, in its row-major order, on both rules of every
+    criterion-6 grid and on a linspace that holds a chord's ends."""
+    origin = (np.array([0.1, 0.2, 0.0]), 1.5)
+    overlapping = [(np.array([1.2, -0.5, 2.0]), 0.8),
+                   (np.array([1.6, -0.2, 1.7]), 0.7)]
+    edge = (np.array([-0.4, 1.9, -1.2]), 0.5)
+    for _, _, _, _, grid, rule in criterion_6_configs:
+        nodes = rule.nodes
+        gap = _ball_between_rays(nodes, 3.0 * np.array([1.0, 2.0, 3.0]) / sqrt(14.0))
+        hit, lo, _ = support_chord(nodes, *origin)
+        assert hit.all() and np.all(lo < 0.0)
+        assert not support_chord(nodes, *gap)[0].any()
+        hit, lo, hi = support_chord(nodes, *edge)
+        j = np.flatnonzero(hit)[0]
+        line = np.sort(np.r_[np.linspace(0.0, 4.0, 97), lo[j], hi[j]])
+        ends = np.searchsorted(line, [lo[j], hi[j]])
+        assert np.array_equal(line[ends], [lo[j], hi[j]])
+        assert np.any(support_mask(line, nodes, overlapping[:1])
+                      & support_mask(line, nodes, overlapping[1:]))
+        n = grid.nodes_per_interval
+        radii = [radial_nodes(grid, n)[0], radial_nodes(grid, n // 2)[0], line]
+        balls = [origin, gap, *overlapping, edge]
+        for r, (i, jj) in zip(radii, _support_points(radii, nodes, balls)):
+            want_i, want_j = np.nonzero(support_mask(r, nodes, balls))
+            assert np.array_equal(i, want_i) and np.array_equal(jj, want_j)
+            # every point inside a ball is kept, none well outside them all
+            got = np.zeros((len(r), len(nodes)), dtype=bool)
+            got[i, jj] = True
+            dist = [np.linalg.norm(r[:, None, None] * nodes - c, axis=2)
+                    for c, _ in balls]
+            assert got[np.any([d < rho for d, (_, rho) in zip(dist, balls)],
+                              axis=0)].all()
+            assert not got[np.all([d > rho * (1.0 + 1e-5) + 1e-5
+                                   for d, (_, rho) in zip(dist, balls)], axis=0)].any()
+        # the chord is open: the nodes at its ends are not in it
+        assert not support_mask(line, nodes, balls)[ends, j].any()
+
+
+@pytest.mark.parametrize("support", [False, True])
+def test_measure_calls_the_integrand_once(rs_a2, rule_a2, support):
+    """One call on the points of both rules: (n + n//2) * panels * M rows on
+    the whole grid, the support points of both rules with a support."""
+    grid = RadialGrid((0.0, 1.0, 2.5), nodes_per_interval=16)
+    u = ball_bump([0.4, 0.2, -0.3], 0.9)
+    balls = [u.support] if support else None
+    rows = []
+
+    def f(X):
+        rows.append(len(X))
+        return u.value(X)
+
+    res = integrate_measure(rs_a2, f, grid, rule_a2, balls)
+    assert res == integrate_measure(rs_a2, u.value, grid, rule_a2)
+    nodes = weighted_sphere(rs_a2, rule_a2)[0]
+    if balls is None:
+        want = (16 + 8) * 2 * len(nodes)
+    else:
+        want = sum(np.count_nonzero(
+            support_mask(radial_nodes(grid, n)[0], nodes, balls)) for n in (16, 8))
+    assert rows == [want]
+
+
+@pytest.mark.parametrize("support", [False, True])
+def test_measure_sees_a_nan_at_a_node_of_the_half_rule_only(rs_a2, rule_a2,
+                                                           support):
+    grid = RadialGrid((0.0, 1.0, 2.5), nodes_per_interval=16)
+    u = ball_bump([0.4, 0.2, -0.3], 0.9)
+    full, half = (radial_nodes(grid, n)[0] for n in (16, 8))
+    # the half-rule radius nearest the ball's center, which no rule-n
+    # radius comes near
+    hole = half[np.argmin(np.abs(half - np.linalg.norm(u.support[0])))]
+    assert np.min(np.abs(full - hole)) > 1e-3
+
+    def f(X):
+        at_hole = np.abs(np.linalg.norm(X, axis=1) - hole) < 1e-9
+        return np.where(at_hole, np.nan, u.value(X))
+
+    with pytest.raises(ValueError, match="not finite at node"):
+        integrate_measure(rs_a2, f, grid, rule_a2,
+                          [u.support] if support else None)
 
 
 def test_measure_support_skips_only_zeros(rs_a2, rule_a2):
